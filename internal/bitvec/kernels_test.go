@@ -184,6 +184,54 @@ func TestDifferentialMajorityCSABoundaryOperandCounts(t *testing.T) {
 	}
 }
 
+// TestDifferentialMajorityOperandRange runs Majority against the per-bit
+// reference across operand counts 1..1000, odd and even, on word-boundary
+// and large dimensions, for every tie mode (TieRandom with identical coin
+// sources on both sides, so coin consumption order is checked too). One
+// operand pool per dimension is plain random; the other opens with 300
+// complementary pairs, so its even prefixes up to 600 tie on every
+// dimension. The reference side accumulates the pool once with the per-bit
+// loop and thresholds each prefix — exactly referenceMajority(pool[:k]),
+// without re-adding the shared prefix for every k.
+func TestDifferentialMajorityOperandRange(t *testing.T) {
+	var ks []int
+	for k := 1; k <= 70; k++ {
+		ks = append(ks, k)
+	}
+	ks = append(ks, 127, 128, 129, 255, 256, 257, 500, 511, 512, 513, 599, 600, 601, 602, 999, 1000)
+	r := rand.New(rand.NewSource(909))
+	for _, d := range []int{1, 63, 64, 65, 1000, 4096, 10007} {
+		for _, forced := range []bool{false, true} {
+			pool := make([]*Vector, ks[len(ks)-1])
+			for i := range pool {
+				if forced && i < 600 && i%2 == 1 {
+					pool[i] = pool[i-1].Not()
+					continue
+				}
+				pool[i] = Random(d, newTestSource(r.Int63()))
+			}
+			ref := NewAccumulator(d)
+			added := 0
+			for _, k := range ks {
+				for ; added < k; added++ {
+					ref.referenceAddWeighted(pool[added], 1)
+				}
+				for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
+					var srcA, srcB Source
+					if tie == TieRandom {
+						srcA, srcB = newTestSource(int64(k)), newTestSource(int64(k))
+					}
+					got := Majority(pool[:k], tie, srcA)
+					want := ref.referenceThreshold(tie, srcB)
+					if !got.Equal(want) {
+						t.Fatalf("d=%d k=%d forced=%v tie=%v: Majority diverges from reference", d, k, forced, tie)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDifferentialRotateBits(t *testing.T) {
 	r := rand.New(rand.NewSource(606))
 	for _, d := range kernelDims {

@@ -48,3 +48,19 @@ func TestRenderGraphHD(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGraphHDGolden pins the full confusion matrix of the fast
+// configuration: the graph encodings feed a seeded classifier, so any
+// change to the encoding bits (bundling kernel, vertex basis, tie vector)
+// moves at least one prediction.
+func TestRunGraphHDGolden(t *testing.T) {
+	res := RunGraphHD(fastGraphHD())
+	want := [3][3]int{{3, 5, 0}, {1, 7, 0}, {0, 0, 8}}
+	for truth := range want {
+		for pred := range want[truth] {
+			if got := res.Conf.At(truth, pred); got != want[truth][pred] {
+				t.Errorf("confusion[%d][%d] = %d, golden %d", truth, pred, got, want[truth][pred])
+			}
+		}
+	}
+}
