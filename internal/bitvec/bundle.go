@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Source is the minimal random source bitvec needs; internal/rng.Stream
@@ -51,99 +52,214 @@ func (t TieBreak) String() string {
 	}
 }
 
-// csaMaxOperands bounds the carry-save-adder Majority fast path: per-position
-// counts up to 64 fit the seven bit-planes majorityCSA keeps in registers.
-const csaMaxOperands = 64
-
 // Majority bundles the operands with the element-wise majority rule and
 // returns the result: output bit i is 1 when more than half of the operands
 // have bit i set. Ties (possible only for an even operand count) are
 // resolved per tie; src may be nil unless tie == TieRandom. It panics on an
 // empty operand list or mismatched dimensions.
 //
-// Operand lists of up to 64 vectors take a bit-sliced carry-save-adder path
-// that counts all 64 positions of a word simultaneously and never
-// materializes integer counters; larger lists fall back to an Accumulator.
-// Both paths produce identical vectors and draw identical tie coins.
+// Any number of operands streams through a pooled Bundler; TieRandom draws
+// one coin bit per tied dimension in dimension order, the same consumption
+// pattern as Accumulator.Threshold, so the two are bit-identical for equal
+// sources.
 func Majority(vs []*Vector, tie TieBreak, src Source) *Vector {
 	if len(vs) == 0 {
 		panic("bitvec: Majority of zero vectors")
 	}
-	d := vs[0].Dim()
-	for _, v := range vs[1:] {
-		if v.Dim() != d {
-			panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", v.Dim(), d))
-		}
-	}
-	if len(vs) <= csaMaxOperands {
-		return majorityCSA(vs, tie, src)
-	}
-	acc := NewAccumulator(d)
+	b := GetBundler(vs[0].Dim())
+	defer PutBundler(b)
 	for _, v := range vs {
-		acc.Add(v)
+		b.Add(v)
 	}
-	return acc.Threshold(tie, src)
+	return b.threshold(tie, src)
 }
 
-// majorityCSA is the bit-sliced majority kernel. For every 64-bit word it
-// accumulates the operands into up to seven bit-planes (plane p holds bit p
-// of the per-position count) with a ripple carry-save adder, then compares
-// the bit-sliced counts against the majority threshold with a plane-wise
-// comparator — all in registers, O(words · operands) with no per-bit work.
-func majorityCSA(vs []*Vector, tie TieBreak, src Source) *Vector {
+// Bundler is the streaming form of majority bundling — the paper's ⊕ over
+// a stream of operands, thresholded once. It keeps every position's
+// set-bit count bit-sliced: plane p holds bit p of all d counts, so adding
+// an operand is a ripple carry-save add of its words into the planes (the
+// carry dies after two planes on average) and thresholding is a plane-wise
+// comparator. No per-dimension integer counter is ever materialized, and
+// the plane count grows as bits.Len(n), so the operand count is unbounded.
+//
+// A Bundler is not safe for concurrent use. Encoders take one from the
+// package pool per call (GetBundler, PutBundler), which keeps them safe to
+// call from concurrent goroutines.
+type Bundler struct {
+	d, nw  int
+	n      int      // operands added
+	planes []uint64 // plane p is planes[p*nw : (p+1)*nw]
+	rot    *Vector  // AddRotated scratch, allocated on first use
+}
+
+// NewBundler returns an empty bundler for dimension d.
+func NewBundler(d int) *Bundler {
+	if d <= 0 {
+		panic(fmt.Sprintf("bitvec: dimension must be positive, got %d", d))
+	}
+	return &Bundler{d: d, nw: wordsFor(d)}
+}
+
+var bundlerPool sync.Pool
+
+// GetBundler returns an empty bundler for dimension d from the package
+// pool. Hand it back with PutBundler once its result is thresholded.
+func GetBundler(d int) *Bundler {
+	b, _ := bundlerPool.Get().(*Bundler)
+	if b == nil {
+		return NewBundler(d)
+	}
+	if d != b.d {
+		if d <= 0 {
+			panic(fmt.Sprintf("bitvec: dimension must be positive, got %d", d))
+		}
+		b.d, b.nw, b.rot = d, wordsFor(d), nil
+	}
+	b.Reset()
+	return b
+}
+
+// PutBundler returns b to the package pool. b must not be used afterwards.
+func PutBundler(b *Bundler) { bundlerPool.Put(b) }
+
+// Dim returns the bundler dimension.
+func (b *Bundler) Dim() int { return b.d }
+
+// N returns how many operands have been added since the last Reset.
+func (b *Bundler) N() int { return b.n }
+
+// Reset empties the bundler for reuse, keeping its storage.
+func (b *Bundler) Reset() {
+	b.n = 0
+	b.planes = b.planes[:0]
+}
+
+// next admits one more operand of dimension d: counts may now reach n+1,
+// which needs bits.Len(n+1) planes, so a new zeroed plane is appended at
+// every power of two.
+func (b *Bundler) next(d int) {
+	if d != b.d {
+		panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", d, b.d))
+	}
+	b.n++
+	if bits.Len(uint(b.n))*b.nw > len(b.planes) {
+		b.planes = append(b.planes, make([]uint64, b.nw)...)
+	}
+}
+
+// Add bundles v.
+func (b *Bundler) Add(v *Vector) {
+	b.next(v.d)
+	planes, nw := b.planes, b.nw
+	for wi, carry := range v.words {
+		for p := wi; carry != 0; p += nw {
+			carry, planes[p] = planes[p]&carry, planes[p]^carry
+		}
+	}
+}
+
+// AddXor bundles the binding x ⊗ y without materializing it — the
+// key ⊗ value pairs of a record, the endpoint pairs of a GraphHD edge.
+func (b *Bundler) AddXor(x, y *Vector) {
+	x.mustMatch(y)
+	b.next(x.d)
+	planes, nw := b.planes, b.nw
+	yw := y.words[:len(x.words)]
+	for wi, xw := range x.words {
+		for p, carry := wi, xw^yw[wi]; carry != 0; p += nw {
+			carry, planes[p] = planes[p]&carry, planes[p]^carry
+		}
+	}
+}
+
+// AddRotated bundles the permutation Π^k(v), rotating into a scratch
+// vector the bundler owns — the position-permuted elements of sequences.
+func (b *Bundler) AddRotated(v *Vector, k int) {
+	k %= v.d
+	if k < 0 {
+		k += v.d
+	}
+	if k == 0 {
+		b.Add(v)
+		return
+	}
+	if v.d != b.d {
+		panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", v.d, b.d))
+	}
+	if b.rot == nil {
+		b.rot = New(b.d)
+	}
+	v.rotateInto(b.rot, k)
+	b.Add(b.rot)
+}
+
+// compare is the plane-wise comparator for word wi, most significant plane
+// first: gt collects the positions whose count exceeds n/2, eq those whose
+// planes so far equal n/2's bits. Ties — eq at the end, possible only for
+// even n — are returned masked to the dimension.
+func (b *Bundler) compare(wi int) (gt, ties uint64) {
+	thr := b.n >> 1
+	eq := ^uint64(0)
+	for p := len(b.planes)/b.nw - 1; p >= 0; p-- {
+		plane := b.planes[p*b.nw+wi]
+		tb := -uint64(thr >> uint(p) & 1)
+		gt |= eq & plane &^ tb
+		eq &^= plane ^ tb
+	}
+	if b.n&1 == 1 {
+		return gt, 0
+	}
+	if wi == b.nw-1 {
+		if r := b.d % 64; r != 0 {
+			eq &= uint64(1)<<uint(r) - 1
+		}
+	}
+	return gt, eq
+}
+
+// ThresholdTieVector returns the majority of the operands added so far,
+// resolving tied dimensions to the corresponding bit of tv. A fixed random
+// tie vector makes the result independent of call order and of any random
+// source, which is what keeps the encoders deterministic under concurrent
+// use. With no operands every dimension ties, so the result is tv.
+func (b *Bundler) ThresholdTieVector(tv *Vector) *Vector {
+	if tv.d != b.d {
+		panic(fmt.Sprintf("bitvec: tie vector dimension %d, bundler %d", tv.d, b.d))
+	}
+	out := New(b.d)
+	for wi := range out.words {
+		gt, ties := b.compare(wi)
+		out.words[wi] = gt | ties&tv.words[wi]
+	}
+	return out
+}
+
+// threshold returns the majority with ties resolved per tie; unrecognized
+// TieBreak values act as TieZero, as in Accumulator.Threshold.
+func (b *Bundler) threshold(tie TieBreak, src Source) *Vector {
 	if tie == TieRandom && src == nil {
 		panic("bitvec: TieRandom requires a random source")
 	}
-	k := len(vs)
-	out := New(vs[0].d)
-	thr := k / 2 // majority is count > thr; count == thr ties (even k only)
-	nPlanes := bits.Len(uint(k))
+	out := New(b.d)
 	var coin uint64
 	coinLeft := 0
 	for wi := range out.words {
-		var planes [7]uint64
-		for _, v := range vs {
-			carry := v.words[wi]
-			for p := 0; carry != 0; p++ {
-				carry, planes[p] = planes[p]&carry, planes[p]^carry
-			}
-		}
-		// Plane-wise comparison of the counts against thr, most significant
-		// plane first: gt collects positions already decided greater, eq
-		// tracks positions whose high planes still equal thr's bits.
-		gt, eq := uint64(0), ^uint64(0)
-		for p := nPlanes - 1; p >= 0; p-- {
-			var tb uint64
-			if thr>>uint(p)&1 == 1 {
-				tb = ^uint64(0)
-			}
-			gt |= eq & planes[p] &^ tb
-			eq &= ^(planes[p] ^ tb)
-		}
-		word := gt
-		if k&1 == 0 {
-			ties := eq
-			if wi == len(out.words)-1 {
-				ties &= out.tailMask()
-			}
-			switch tie {
-			case TieOne:
-				word |= ties
-			case TieRandom:
-				// One coin bit per tied position in dimension order — the
-				// same consumption pattern as Accumulator.Threshold, so the
-				// two paths are bit-identical for equal sources.
-				for t := ties; t != 0; t &= t - 1 {
-					if coinLeft == 0 {
-						coin = src.Uint64()
-						coinLeft = 64
-					}
-					if coin&1 == 1 {
-						word |= t & -t
-					}
-					coin >>= 1
-					coinLeft--
+		word, ties := b.compare(wi)
+		switch tie {
+		case TieOne:
+			word |= ties
+		case TieRandom:
+			// One coin bit per tied position in dimension order.
+			for t := ties; t != 0; t &= t - 1 {
+				if coinLeft == 0 {
+					coin = src.Uint64()
+					coinLeft = 64
 				}
+				if coin&1 == 1 {
+					word |= t & -t
+				}
+				coin >>= 1
+				coinLeft--
 			}
 		}
 		out.words[wi] = word

@@ -1,10 +1,11 @@
 package bitvec
 
 // Fuzz harnesses pinning the threshold-pruned kernels (pruned.go) against
-// the per-bit references in reference.go. Dimensions are derived from the
-// fuzzed inputs so non-64-multiple word tails are exercised constantly; the
-// seed corpus under testdata/fuzz/ checks in the word-boundary cases
-// (d = 1, 63..65, 127..129) plus representative bounds.
+// the per-bit references in reference.go, and the Bundler against the
+// Accumulator. Dimensions are derived from the fuzzed inputs so
+// non-64-multiple word tails are exercised constantly; the seed corpus
+// under testdata/fuzz/ checks in the word-boundary cases (d = 1, 63..65,
+// 127..129) plus representative bounds.
 
 import "testing"
 
@@ -79,6 +80,72 @@ func FuzzNearestPruned(f *testing.F) {
 		pi, ph := NearestPruned(q, vs, d+1)
 		if ni != pi || nh != ph {
 			t.Fatalf("d=%d n=%d: Nearest (%d,%d) != NearestPruned full bound (%d,%d)", d, n, ni, nh, pi, ph)
+		}
+	})
+}
+
+// FuzzBundlerMatchesAccumulator streams fuzzed operands through a Bundler
+// — each via Add, AddXor or AddRotated, picked by a fuzzed selector — and
+// their materialized forms through an Accumulator, then checks the
+// tie-vector threshold and all three tie-mode thresholds (TieRandom coin
+// for coin) agree. With tie set, every odd operand is the complement of
+// its predecessor, so even counts tie on every dimension. The seeds mirror
+// TestDifferentialBundler: word-boundary dimensions, odd and even operand
+// counts around powers of two, up to 1000 operands.
+func FuzzBundlerMatchesAccumulator(f *testing.F) {
+	f.Add([]byte{0x5a}, uint16(0), uint16(1), uint64(0), false)               // d=1, one operand
+	f.Add([]byte("bundle"), uint16(62), uint16(2), uint64(7), true)           // d=63, forced tie
+	f.Add([]byte{0xff, 0x00, 0x0f}, uint16(63), uint16(64), uint64(1), false) // d=64, plane boundary
+	f.Add([]byte{1, 2, 3, 4}, uint16(64), uint16(65), uint64(99), true)       // d=65
+	f.Add([]byte("operands"), uint16(999), uint16(128), uint64(5), true)      // d=1000, forced ties
+	f.Add([]byte{0xc3, 0x3c}, uint16(999), uint16(1000), uint64(3), false)    // d=1000, 1000 operands
+	f.Add([]byte{}, uint16(127), uint16(0), uint64(0), false)                 // no operands: the tie vector
+	f.Fuzz(func(t *testing.T, pool []byte, dRaw, nRaw uint16, sel uint64, tie bool) {
+		d := fuzzDim(dRaw)
+		n := int(nRaw) % 1001
+		key := vecFromBytes(d, pool, 3)
+		tv := vecFromBytes(d, pool, 5).Not()
+		b := NewBundler(d)
+		acc := NewAccumulator(d)
+		var prev *Vector
+		for i := 0; i < n; i++ {
+			v := vecFromBytes(d, pool, i)
+			shift := int(sel>>8) + i
+			op := (sel + uint64(i)) % 3
+			if tie && i%2 == 1 {
+				switch op {
+				case 0:
+					v = prev.Not()
+				case 1:
+					v = key.Xor(prev.Not())
+				default:
+					v = prev.Not().Rotate(-shift)
+				}
+			}
+			switch op {
+			case 0:
+				b.Add(v)
+				prev = v
+			case 1:
+				b.AddXor(key, v)
+				prev = key.Xor(v)
+			default:
+				b.AddRotated(v, shift)
+				prev = v.Rotate(shift)
+			}
+			acc.Add(prev)
+		}
+		if got, want := b.ThresholdTieVector(tv), acc.ThresholdTieVector(tv); !got.Equal(want) {
+			t.Fatalf("d=%d n=%d: ThresholdTieVector diverges from the accumulator", d, n)
+		}
+		for _, tb := range []TieBreak{TieZero, TieOne, TieRandom} {
+			var srcA, srcB Source
+			if tb == TieRandom {
+				srcA, srcB = newTestSource(int64(sel)), newTestSource(int64(sel))
+			}
+			if got, want := b.threshold(tb, srcA), acc.Threshold(tb, srcB); !got.Equal(want) {
+				t.Fatalf("d=%d n=%d tie=%v: threshold diverges from the accumulator", d, n, tb)
+			}
 		}
 	})
 }

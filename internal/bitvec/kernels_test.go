@@ -79,13 +79,13 @@ func TestThresholdUnknownTieBreakActsLikeTieZero(t *testing.T) {
 	if got.OnesCount() != 0 {
 		t.Errorf("unknown TieBreak resolved ties to 1s: %d set bits", got.OnesCount())
 	}
-	// Majority must agree between the CSA path and the accumulator
-	// fallback for unknown tie values too.
+	// Majority must treat unknown tie values as TieZero too, for small
+	// and large operand counts.
 	vs := []*Vector{v, v.Not()}
 	if !Majority(vs, TieBreak(99), nil).Equal(referenceMajority(vs, TieZero, nil)) {
-		t.Error("CSA Majority diverges from reference for unknown TieBreak")
+		t.Error("Majority diverges from reference for unknown TieBreak")
 	}
-	big := make([]*Vector, csaMaxOperands+2)
+	big := make([]*Vector, 66)
 	for i := range big {
 		if i%2 == 0 {
 			big[i] = v
@@ -94,7 +94,7 @@ func TestThresholdUnknownTieBreakActsLikeTieZero(t *testing.T) {
 		}
 	}
 	if !Majority(big, TieBreak(99), nil).Equal(referenceMajority(big, TieZero, nil)) {
-		t.Error("fallback Majority diverges from reference for unknown TieBreak")
+		t.Error("66-operand Majority diverges from reference for unknown TieBreak")
 	}
 }
 
@@ -149,7 +149,7 @@ func TestDifferentialMajorityCSA(t *testing.T) {
 				got := Majority(vs, tie, srcA)
 				want := referenceMajority(vs, tie, srcB)
 				if !got.Equal(want) {
-					t.Fatalf("d=%d k=%d tie=%v: CSA Majority diverges from reference", d, k, tie)
+					t.Fatalf("d=%d k=%d tie=%v: Majority diverges from reference", d, k, tie)
 				}
 			}
 		}
@@ -157,11 +157,11 @@ func TestDifferentialMajorityCSA(t *testing.T) {
 }
 
 func TestDifferentialMajorityCSABoundaryOperandCounts(t *testing.T) {
-	// Exactly at and beyond the CSA operand limit, including the
-	// accumulator fallback, with ties forced by complementary pairs.
+	// Around 64 operands, where the bundler's count planes grow from six
+	// to seven, with ties forced by complementary pairs.
 	r := rand.New(rand.NewSource(505))
 	d := 321
-	for _, k := range []int{csaMaxOperands - 1, csaMaxOperands, csaMaxOperands + 1, csaMaxOperands + 6} {
+	for _, k := range []int{63, 64, 65, 70} {
 		vs := make([]*Vector, 0, k+1)
 		for len(vs)+1 < k {
 			v := Random(d, newTestSource(r.Int63()))
@@ -178,7 +178,7 @@ func TestDifferentialMajorityCSABoundaryOperandCounts(t *testing.T) {
 			got := Majority(vs, tie, srcA)
 			want := referenceMajority(vs, tie, srcB)
 			if !got.Equal(want) {
-				t.Fatalf("k=%d tie=%v: Majority diverges from reference at CSA boundary", k, tie)
+				t.Fatalf("k=%d tie=%v: Majority diverges from reference at a plane boundary", k, tie)
 			}
 		}
 	}

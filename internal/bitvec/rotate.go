@@ -3,37 +3,43 @@ package bitvec
 // Word-level cyclic rotation dispatch. RotateBits in bitvec.go is the
 // general O(d/64) shift-based rotation that works for every dimension;
 // this file keeps the slightly cheaper single-pass kernel for dimensions
-// that are multiples of 64 (one shifted OR per output word instead of two
-// passes) and the dispatcher that picks between them.
+// that are multiples of 64 (one output word from two source words, no
+// clearing pass) and the in-place form the Bundler rotates into its
+// scratch vector with.
 
-// rotateBitsFast computes the cyclic rotation by k (already reduced to
-// [1, d)) for dimensions that are multiples of 64, operating on whole words
-// with two shifts per output word.
-func (v *Vector) rotateBitsFast(k int) *Vector {
-	r := New(v.d)
-	words := len(v.words)
-	wordShift := k >> 6
-	bitShift := uint(k & 63)
-	if bitShift == 0 {
-		for i := 0; i < words; i++ {
-			r.words[(i+wordShift)%words] = v.words[i]
+// rotateInto stores Π^k(v) into dst, which must have v's dimension and
+// must not alias v; k must already be reduced to [1, d).
+func (v *Vector) rotateInto(dst *Vector, k int) {
+	if v.d%64 != 0 {
+		clear(dst.words)
+		v.shlOrInto(dst, k)
+		v.shrOrInto(dst, v.d-k)
+		dst.clearTail()
+		return
+	}
+	// Output word i takes its high bits from source word i−ws and its low
+	// bits from the word before it (cyclically). A shift by 64 yields 0 in
+	// Go, so bs == 0 needs no special case.
+	words := v.words
+	n := len(words)
+	ws, bs := k>>6, uint(k&63)
+	for i := range dst.words {
+		j := i - ws
+		if j < 0 {
+			j += n
 		}
-		return r
+		prev := j - 1
+		if prev < 0 {
+			prev += n
+		}
+		dst.words[i] = words[j]<<bs | words[prev]>>(64-bs)
 	}
-	inv := 64 - bitShift
-	for i := 0; i < words; i++ {
-		lo := v.words[i] << bitShift
-		hi := v.words[i] >> inv
-		r.words[(i+wordShift)%words] |= lo
-		r.words[(i+wordShift+1)%words] |= hi
-	}
-	return r
 }
 
 // Rotate returns the cyclic-shift permutation Π^k(v): the single-pass
 // word kernel when d is a multiple of 64, the general O(d/64) shift-based
-// RotateBits otherwise. Both paths produce identical results (pinned
-// against the per-bit reference in rotate_test.go).
+// kernel otherwise. Both paths produce identical results (pinned against
+// the per-bit reference in rotate_test.go).
 func (v *Vector) Rotate(k int) *Vector {
 	k %= v.d
 	if k < 0 {
@@ -42,8 +48,7 @@ func (v *Vector) Rotate(k int) *Vector {
 	if k == 0 {
 		return v.Clone()
 	}
-	if v.d%64 == 0 {
-		return v.rotateBitsFast(k)
-	}
-	return v.RotateBits(k)
+	r := New(v.d)
+	v.rotateInto(r, k)
+	return r
 }
