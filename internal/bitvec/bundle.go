@@ -148,11 +148,16 @@ func (b *Bundler) next(d int) {
 }
 
 // Add bundles v.
+//
+// The carry of a random word survives about six planes (its popcount
+// halves per plane), so the ripple runs through every plane rather than
+// stopping when the carry dies: a fixed trip count never mispredicts,
+// while a data-dependent exit mispredicts once per word.
 func (b *Bundler) Add(v *Vector) {
 	b.next(v.d)
 	planes, nw := b.planes, b.nw
 	for wi, carry := range v.words {
-		for p := wi; carry != 0; p += nw {
+		for p := wi; p < len(planes); p += nw {
 			carry, planes[p] = planes[p]&carry, planes[p]^carry
 		}
 	}
@@ -166,7 +171,8 @@ func (b *Bundler) AddXor(x, y *Vector) {
 	planes, nw := b.planes, b.nw
 	yw := y.words[:len(x.words)]
 	for wi, xw := range x.words {
-		for p, carry := wi, xw^yw[wi]; carry != 0; p += nw {
+		carry := xw ^ yw[wi]
+		for p := wi; p < len(planes); p += nw {
 			carry, planes[p] = planes[p]&carry, planes[p]^carry
 		}
 	}
@@ -175,22 +181,14 @@ func (b *Bundler) AddXor(x, y *Vector) {
 // AddRotated bundles the permutation Π^k(v), rotating into a scratch
 // vector the bundler owns — the position-permuted elements of sequences.
 func (b *Bundler) AddRotated(v *Vector, k int) {
-	k %= v.d
-	if k < 0 {
-		k += v.d
-	}
-	if k == 0 {
+	if k%v.d == 0 {
 		b.Add(v)
 		return
-	}
-	if v.d != b.d {
-		panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", v.d, b.d))
 	}
 	if b.rot == nil {
 		b.rot = New(b.d)
 	}
-	v.rotateInto(b.rot, k)
-	b.Add(b.rot)
+	b.Add(v.RotateInto(k, b.rot))
 }
 
 // compare is the plane-wise comparator for word wi, most significant plane
@@ -198,13 +196,12 @@ func (b *Bundler) AddRotated(v *Vector, k int) {
 // planes so far equal n/2's bits. Ties — eq at the end, possible only for
 // even n — are returned masked to the dimension.
 func (b *Bundler) compare(wi int) (gt, ties uint64) {
-	thr := b.n >> 1
+	planes, nw, thr := b.planes, b.nw, uint(b.n>>1)
 	eq := ^uint64(0)
-	for p := len(b.planes)/b.nw - 1; p >= 0; p-- {
-		plane := b.planes[p*b.nw+wi]
-		tb := -uint64(thr >> uint(p) & 1)
-		gt |= eq & plane &^ tb
-		eq &^= plane ^ tb
+	for p, i := len(planes)/nw-1, len(planes)-nw+wi; i >= 0; p, i = p-1, i-nw {
+		tb := -uint64(thr >> uint(p) & 1) // all ones where n/2 has bit p
+		gt |= eq & planes[i] &^ tb
+		eq &^= planes[i] ^ tb
 	}
 	if b.n&1 == 1 {
 		return gt, 0

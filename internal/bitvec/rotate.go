@@ -4,8 +4,8 @@ package bitvec
 // general O(d/64) shift-based rotation that works for every dimension;
 // this file keeps the slightly cheaper single-pass kernel for dimensions
 // that are multiples of 64 (one output word from two source words, no
-// clearing pass) and the in-place form the Bundler rotates into its
-// scratch vector with.
+// clearing pass) and the into-destination forms the encoders rotate into
+// scratch vectors with.
 
 // rotateInto stores Π^k(v) into dst, which must have v's dimension and
 // must not alias v; k must already be reduced to [1, d).
@@ -18,21 +18,23 @@ func (v *Vector) rotateInto(dst *Vector, k int) {
 		return
 	}
 	// Output word i takes its high bits from source word i−ws and its low
-	// bits from the word before it (cyclically). A shift by 64 yields 0 in
-	// Go, so bs == 0 needs no special case.
-	words := v.words
+	// bits from the word before it, cyclically: two straight runs plus the
+	// word at the seam. A shift by 64 yields 0 in Go, so bs == 0 needs no
+	// special case.
+	words, out := v.words, dst.words
 	n := len(words)
 	ws, bs := k>>6, uint(k&63)
-	for i := range dst.words {
-		j := i - ws
-		if j < 0 {
-			j += n
-		}
-		prev := j - 1
-		if prev < 0 {
-			prev += n
-		}
-		dst.words[i] = words[j]<<bs | words[prev]>>(64-bs)
+	inv := 64 - bs
+	run := out[ws+1:]
+	hi, lo := words[1:n-ws][:len(run)], words[:n-ws-1][:len(run)]
+	for i := range run {
+		run[i] = hi[i]<<bs | lo[i]>>inv
+	}
+	out[ws] = words[0]<<bs | words[n-1]>>inv
+	run = out[:ws]
+	hi, lo = words[n-ws:][:len(run)], words[n-ws-1:n-1][:len(run)]
+	for i := range run {
+		run[i] = hi[i]<<bs | lo[i]>>inv
 	}
 }
 
@@ -40,15 +42,20 @@ func (v *Vector) rotateInto(dst *Vector, k int) {
 // word kernel when d is a multiple of 64, the general O(d/64) shift-based
 // kernel otherwise. Both paths produce identical results (pinned against
 // the per-bit reference in rotate_test.go).
-func (v *Vector) Rotate(k int) *Vector {
+func (v *Vector) Rotate(k int) *Vector { return v.RotateInto(k, New(v.d)) }
+
+// RotateInto stores Π^k(v) into dst and returns dst. dst must have v's
+// dimension and must not alias v.
+func (v *Vector) RotateInto(k int, dst *Vector) *Vector {
+	v.mustMatch(dst)
 	k %= v.d
 	if k < 0 {
 		k += v.d
 	}
 	if k == 0 {
-		return v.Clone()
+		copy(dst.words, v.words)
+		return dst
 	}
-	r := New(v.d)
-	v.rotateInto(r, k)
-	return r
+	v.rotateInto(dst, k)
+	return dst
 }

@@ -13,6 +13,7 @@ import (
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
+	"hdcirc/internal/graph"
 	"hdcirc/internal/index"
 	"hdcirc/internal/rng"
 )
@@ -371,13 +372,12 @@ func (e *RecordEncoder) EncodeVectors(values []*bitvec.Vector) *bitvec.Vector {
 	if len(values) != len(e.keys) {
 		panic(fmt.Sprintf("embed: record has %d fields, got %d values", len(e.keys), len(values)))
 	}
-	acc := bitvec.NewAccumulator(e.d)
-	tmp := bitvec.New(e.d)
+	b := bitvec.GetBundler(e.d)
+	defer bitvec.PutBundler(b)
 	for i, v := range values {
-		e.keys[i].XorInto(v, tmp)
-		acc.Add(tmp)
+		b.AddXor(e.keys[i], v)
 	}
-	return acc.ThresholdTieVector(e.tieVec)
+	return b.ThresholdTieVector(e.tieVec)
 }
 
 // FieldEncoder is anything that can map a float64 to a hypervector; both
@@ -429,11 +429,12 @@ func (e *SequenceEncoder) Encode(items []*bitvec.Vector) *bitvec.Vector {
 	if len(items) == 0 {
 		panic("embed: cannot encode empty sequence")
 	}
-	acc := bitvec.NewAccumulator(e.d)
+	b := bitvec.GetBundler(e.d)
+	defer bitvec.PutBundler(b)
 	for i, v := range items {
-		acc.Add(v.Rotate(i))
+		b.AddRotated(v, i)
 	}
-	return acc.ThresholdTieVector(e.tieVec)
+	return b.ThresholdTieVector(e.tieVec)
 }
 
 // NGramEncoder encodes a sequence as the bundle of its n-grams, each
@@ -470,14 +471,44 @@ func (e *NGramEncoder) Encode(items []*bitvec.Vector) *bitvec.Vector {
 	if len(items) < n {
 		n = len(items)
 	}
-	acc := bitvec.NewAccumulator(e.d)
-	gram := bitvec.New(e.d)
-	for start := 0; start+n <= len(items); start++ {
-		gram.CopyFrom(items[start].Rotate(n - 1))
-		for k := 1; k < n; k++ {
-			gram.XorInPlace(items[start+k].Rotate(n - 1 - k))
+	b := bitvec.GetBundler(e.d)
+	defer bitvec.PutBundler(b)
+	if n == 1 {
+		for _, v := range items {
+			b.Add(v)
 		}
-		acc.Add(gram)
+		return b.ThresholdTieVector(e.tieVec)
 	}
-	return acc.ThresholdTieVector(e.tieVec)
+	// Each gram Π^{n−1}(x_s) ⊗ … ⊗ Π(x_{s+n−2}) ⊗ x_{s+n−1} is built in
+	// Horner form — g ← Π(g) ⊗ x — so a gram costs n−1 rotations into a
+	// scratch vector, and the final binding is fused into the bundle.
+	g, rot := bitvec.New(e.d), bitvec.New(e.d)
+	for start := 0; start+n <= len(items); start++ {
+		g.CopyFrom(items[start])
+		for k := 1; k < n-1; k++ {
+			g.RotateInto(1, rot).XorInto(items[start+k], g)
+		}
+		b.AddXor(g.RotateInto(1, rot), items[start+n-1])
+	}
+	return b.ThresholdTieVector(e.tieVec)
+}
+
+// ---------------------------------------------------------------------------
+// Graph encoder (GraphHD)
+// ---------------------------------------------------------------------------
+
+// EncodeGraph implements the GraphHD encoding (Nunes et al., DATE 2022):
+// vertices take basis vectors by degree-centrality rank, so structurally
+// similar graphs share encodings, and the graph is the majority bundle of
+// its edges, each edge the binding of its endpoints' vectors. Ties resolve
+// to tieVec; a graph with no edges encodes to tieVec. The basis must hold
+// at least g.N() vectors.
+func EncodeGraph(g *graph.Graph, basis *core.Set, tieVec *bitvec.Vector) *bitvec.Vector {
+	rank := g.DegreeRank()
+	b := bitvec.GetBundler(basis.Dim())
+	defer bitvec.PutBundler(b)
+	for _, e := range g.Edges() {
+		b.AddXor(basis.At(rank[e[0]]), basis.At(rank[e[1]]))
+	}
+	return b.ThresholdTieVector(tieVec)
 }

@@ -6,6 +6,7 @@ import (
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
+	"hdcirc/internal/embed"
 	"hdcirc/internal/graph"
 	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
@@ -49,21 +50,6 @@ func genGraph(class int, n int, r *rng.Stream) *graph.Graph {
 	}
 }
 
-// encodeGraph implements the GraphHD encoding: vertex hypervectors come
-// from a shared random basis indexed by degree-centrality rank; the graph
-// is the majority bundle of its bound edge pairs. Graphs with no edges
-// encode to the tie vector (never happens for the synthetic families).
-func encodeGraph(g *graph.Graph, vertexBasis *core.Set, tieVec *bitvec.Vector) *bitvec.Vector {
-	rank := g.DegreeRank()
-	acc := bitvec.NewAccumulator(vertexBasis.Dim())
-	tmp := bitvec.New(vertexBasis.Dim())
-	for _, e := range g.Edges() {
-		vertexBasis.At(rank[e[0]]).XorInto(vertexBasis.At(rank[e[1]]), tmp)
-		acc.Add(tmp)
-	}
-	return acc.ThresholdTieVector(tieVec)
-}
-
 // GraphHDResult is the outcome of the graph-classification extension.
 type GraphHDResult struct {
 	Accuracy float64
@@ -83,7 +69,7 @@ func RunGraphHD(cfg GraphHDConfig) GraphHDResult {
 		for class := range graphFamilies {
 			for i := 0; i < per; i++ {
 				g := genGraph(class, cfg.Vertices, stream)
-				hvs = append(hvs, encodeGraph(g, basis, tieVec))
+				hvs = append(hvs, embed.EncodeGraph(g, basis, tieVec))
 				labels = append(labels, class)
 			}
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
+	"hdcirc/internal/embed"
 	"hdcirc/internal/graph"
 	"hdcirc/internal/rng"
 )
@@ -48,14 +49,7 @@ func (e *graphEncoder) Encode(features []float64) *bitvec.Vector {
 			i++
 		}
 	}
-	rank := g.DegreeRank()
-	acc := bitvec.NewAccumulator(e.basis.Dim())
-	tmp := bitvec.New(e.basis.Dim())
-	for _, edge := range g.Edges() {
-		e.basis.At(rank[edge[0]]).XorInto(e.basis.At(rank[edge[1]]), tmp)
-		acc.Add(tmp)
-	}
-	return acc.ThresholdTieVector(e.tieVec)
+	return embed.EncodeGraph(g, e.basis, e.tieVec)
 }
 
 // graphToRow flattens a graph into its wire record.
