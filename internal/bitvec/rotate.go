@@ -26,13 +26,13 @@ func (v *Vector) rotateInto(dst *Vector, k int) {
 	ws, bs := k>>6, uint(k&63)
 	inv := 64 - bs
 	run := out[ws+1:]
-	hi, lo := words[1:n-ws][:len(run)], words[:n-ws-1][:len(run)]
+	hi, lo := words[1 : n-ws][:len(run)], words[:n-ws-1][:len(run)]
 	for i := range run {
 		run[i] = hi[i]<<bs | lo[i]>>inv
 	}
 	out[ws] = words[0]<<bs | words[n-1]>>inv
 	run = out[:ws]
-	hi, lo = words[n-ws:][:len(run)], words[n-ws-1:n-1][:len(run)]
+	hi, lo = words[n-ws:][:len(run)], words[n-ws-1 : n-1][:len(run)]
 	for i := range run {
 		run[i] = hi[i]<<bs | lo[i]>>inv
 	}

@@ -169,8 +169,15 @@ func (se *session) Close() error {
 func (se *session) Next(ctx context.Context) (httpapi.ReplicateFrame, error) {
 	for {
 		if len(se.queue) > 0 {
+			// Zero the popped slot and drop the drained array: a frame's
+			// payload is a whole WAL record, and the backing array would
+			// otherwise keep every shipped one reachable.
 			f := se.queue[0]
+			se.queue[0] = httpapi.ReplicateFrame{}
 			se.queue = se.queue[1:]
+			if len(se.queue) == 0 {
+				se.queue = nil
+			}
 			return f, nil
 		}
 		if err := ctx.Err(); err != nil {
