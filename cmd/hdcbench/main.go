@@ -1,9 +1,9 @@
 // Command hdcbench measures the kernel hot paths — bind, distance,
-// accumulate, threshold, rotate, majority, nearest, predict, serve, the
-// sketch-indexed lookups, the durability paths and the HTTP serving API
-// (protocol v1 through the client SDK) — and emits the ns/op numbers as JSON
-// (BENCH_kernels.json by default) so the performance trajectory can be
-// tracked across changes:
+// accumulate, threshold, rotate, majority, nearest, the scenario encoders,
+// predict, serve, the sketch-indexed lookups, the durability paths and the
+// HTTP serving API (protocol v1 through the client SDK) — and emits the
+// ns/op numbers as JSON (BENCH_kernels.json by default) so the performance
+// trajectory can be tracked across changes:
 //
 //	go run ./cmd/hdcbench            # d=10000, writes BENCH_kernels.json
 //	go run ./cmd/hdcbench -d 4096 -o -   # custom dimension, JSON to stdout
@@ -62,6 +62,7 @@ import (
 	"hdcirc/internal/model"
 	"hdcirc/internal/repl"
 	"hdcirc/internal/rng"
+	"hdcirc/internal/scenario"
 	"hdcirc/internal/serve"
 	"hdcirc/internal/vfs"
 	"hdcirc/internal/wal"
@@ -462,6 +463,22 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	// Scenario encode fixtures: the served domain encoders on their own
+	// test splits — level-basis records bundled into a permuted sequence
+	// (signals), trigram bundles (language), GraphHD edge bundles. Each
+	// scenario fixes its own dimension, independent of -d.
+	encodeRows := func(name string) func(*testing.B) {
+		sc, err := scenario.Build(name)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = sc.Encoder.Encode(sc.Test[i%len(sc.Test)].Features)
+			}
+		}
+	}
+
 	gmp := runtime.GOMAXPROCS(0)
 	benches := []struct {
 		name    string
@@ -503,6 +520,9 @@ func main() {
 				_, _ = bitvec.Nearest(x, cands)
 			}
 		}},
+		{"encode_signals", 1, encodeRows("signals")},
+		{"encode_ngram_language", 1, encodeRows("language")},
+		{"encode_graphhd", 1, encodeRows("graphhd")},
 		{"predict_k32", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _ = clf.Predict(queries[i%len(queries)])

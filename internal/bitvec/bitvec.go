@@ -8,23 +8,30 @@
 // never a per-bit loop:
 //
 //   - Binding and distance (XOR, popcount) are straight word loops.
-//   - Bundling accumulation (Accumulator.Add/Sub/AddWeighted) extracts 64
-//     bits per load and updates the bipolar counters branch-free — random
-//     hypervector bits make branches mispredict half the time.
-//   - Thresholding (Threshold, ThresholdTieVector) packs output words in
-//     registers with sign arithmetic, with a dedicated kernel per tie mode.
-//   - Majority over up to 64 operands runs a bit-sliced carry-save adder
-//     (majorityCSA) that counts all 64 positions of a word simultaneously
-//     and never materializes integer counters.
-//   - Rotation (RotateBits, Rotate) is two d-bit word shifts, O(d/64) for
-//     any dimension including non-multiples of 64.
+//   - Majority bundling (Bundler, and Majority on top of it) keeps the
+//     per-position set-bit counts bit-sliced, one plane per count bit: an
+//     operand is added to all 64 positions of a word at once by a ripple
+//     carry-save add, with binding (AddXor) and rotation (AddRotated)
+//     fused in, and a plane-wise comparator thresholds the counts. No
+//     integer counter is materialized and the operand count is unbounded.
+//     Every encoder bundles through a pooled Bundler.
+//   - Weighted bundling (Accumulator.Add/Sub/AddWeighted), which the
+//     training paths need, extracts 64 bits per load and updates int32
+//     bipolar counters branch-free — random hypervector bits make branches
+//     mispredict half the time. Its thresholds (Threshold,
+//     ThresholdTieVector) pack output words in registers with sign
+//     arithmetic, with a dedicated kernel per tie mode.
+//   - Rotation (RotateBits, Rotate, RotateInto) is two d-bit word shifts,
+//     O(d/64) for any dimension including non-multiples of 64.
 //   - Nearest-neighbor search (Nearest, NearestInto, NearestXor,
 //     DistanceMany, XorDistance, WithinDistance in nearest.go) fuses
 //     bind/compare/argmin into allocation-free scans with early exit.
 //
 // The per-bit originals are kept in reference.go as the spec the kernels
-// are differential-tested against (kernels_test.go) — every kernel is
-// bit-identical to its reference, including random tie-coin consumption.
+// are differential-tested against (kernels_test.go; the Bundler is also
+// tested and fuzzed against the Accumulator in bundler_test.go and
+// fuzz_test.go) — every kernel is bit-identical to its reference,
+// including random tie-coin consumption.
 //
 // A Vector is a point in H = {0,1}^d. The zero value is not usable; create
 // vectors with New, NewFromBits or Random.

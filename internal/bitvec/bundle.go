@@ -77,10 +77,10 @@ func Majority(vs []*Vector, tie TieBreak, src Source) *Vector {
 // Bundler is the streaming form of majority bundling — the paper's ⊕ over
 // a stream of operands, thresholded once. It keeps every position's
 // set-bit count bit-sliced: plane p holds bit p of all d counts, so adding
-// an operand is a ripple carry-save add of its words into the planes (the
-// carry dies after two planes on average) and thresholding is a plane-wise
-// comparator. No per-dimension integer counter is ever materialized, and
-// the plane count grows as bits.Len(n), so the operand count is unbounded.
+// an operand is a ripple carry-save add of its words into the planes, 64
+// positions at a time, and thresholding is a plane-wise comparator. No
+// per-dimension integer counter is ever materialized, and the plane count
+// grows as bits.Len(n), so the operand count is unbounded.
 //
 // A Bundler is not safe for concurrent use. Encoders take one from the
 // package pool per call (GetBundler, PutBundler), which keeps them safe to
@@ -378,8 +378,8 @@ func thresholdWord(c []int32) (word, ties uint64) {
 	// constant 1-bit shifts are cheaper than positioning each bit with a
 	// variable shift. uint32(cv−1)>>31 is 1 iff cv ≤ 0; uint32(cv|−cv)>>31
 	// is 1 iff cv ≠ 0. Full words run four independent 16-bit chains per
-	// output, like posWord — this kernel sits on the encoder hot path via
-	// ThresholdTieVector.
+	// output, like posWord — this kernel finalizes every class prototype
+	// via ThresholdTieVector.
 	if len(c) == 64 {
 		var w0, w1, w2, w3, t0, t1, t2, t3 uint64
 		for i := 15; i >= 0; i-- {

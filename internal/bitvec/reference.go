@@ -78,7 +78,7 @@ func (a *Accumulator) referenceThresholdTieVector(tv *Vector) *Vector {
 }
 
 // referenceMajority bundles through an integer accumulator — the original
-// Majority implementation and the spec for the carry-save-adder fast path.
+// Majority implementation and the spec for the bit-sliced Bundler.
 func referenceMajority(vs []*Vector, tie TieBreak, src Source) *Vector {
 	if len(vs) == 0 {
 		panic("bitvec: Majority of zero vectors")

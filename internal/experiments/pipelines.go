@@ -239,7 +239,7 @@ func hash(s string) uint64 {
 
 // encodeParallel encodes items[i] with the (goroutine-safe) encode function
 // on all cores, preserving order. Encoders are safe because bundling ties
-// resolve against fixed tie vectors (see bitvec.ThresholdTieVector).
+// resolve against fixed tie vectors (see bitvec.Bundler.ThresholdTieVector).
 func encodeParallel[T any](items []T, encode func(T) *bitvec.Vector) []*bitvec.Vector {
 	out := make([]*bitvec.Vector, len(items))
 	parallelFor(len(items), func(i int) { out[i] = encode(items[i]) })
