@@ -82,9 +82,9 @@ func Majority(vs []*Vector, tie TieBreak, src Source) *Vector {
 // per-dimension integer counter is ever materialized, and the plane count
 // grows as bits.Len(n), so the operand count is unbounded.
 //
-// A Bundler is not safe for concurrent use. Encoders take one from the
-// package pool per call (GetBundler, PutBundler), which keeps them safe to
-// call from concurrent goroutines.
+// Bundlers come from a package pool (GetBundler, PutBundler). A Bundler is
+// not safe for concurrent use; encoders take one per call, which keeps
+// them safe to call from concurrent goroutines.
 type Bundler struct {
 	d, nw  int
 	n      int      // operands added
@@ -92,27 +92,19 @@ type Bundler struct {
 	rot    *Vector  // AddRotated scratch, allocated on first use
 }
 
-// NewBundler returns an empty bundler for dimension d.
-func NewBundler(d int) *Bundler {
-	if d <= 0 {
-		panic(fmt.Sprintf("bitvec: dimension must be positive, got %d", d))
-	}
-	return &Bundler{d: d, nw: wordsFor(d)}
-}
-
 var bundlerPool sync.Pool
 
 // GetBundler returns an empty bundler for dimension d from the package
 // pool. Hand it back with PutBundler once its result is thresholded.
 func GetBundler(d int) *Bundler {
+	if d <= 0 {
+		panic(fmt.Sprintf("bitvec: dimension must be positive, got %d", d))
+	}
 	b, _ := bundlerPool.Get().(*Bundler)
 	if b == nil {
-		return NewBundler(d)
+		b = new(Bundler)
 	}
-	if d != b.d {
-		if d <= 0 {
-			panic(fmt.Sprintf("bitvec: dimension must be positive, got %d", d))
-		}
+	if b.d != d {
 		b.d, b.nw, b.rot = d, wordsFor(d), nil
 	}
 	b.Reset()
@@ -121,12 +113,6 @@ func GetBundler(d int) *Bundler {
 
 // PutBundler returns b to the package pool. b must not be used afterwards.
 func PutBundler(b *Bundler) { bundlerPool.Put(b) }
-
-// Dim returns the bundler dimension.
-func (b *Bundler) Dim() int { return b.d }
-
-// N returns how many operands have been added since the last Reset.
-func (b *Bundler) N() int { return b.n }
 
 // Reset empties the bundler for reuse, keeping its storage.
 func (b *Bundler) Reset() {

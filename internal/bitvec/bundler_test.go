@@ -50,7 +50,7 @@ func TestDifferentialBundler(t *testing.T) {
 		tv := Random(d, newTestSource(r.Int63()))
 		key := Random(d, newTestSource(r.Int63()))
 		for _, forced := range []bool{false, true} {
-			b := NewBundler(d)
+			b := GetBundler(d)
 			acc := NewAccumulator(d)
 			if got := b.ThresholdTieVector(tv); !got.Equal(tv) {
 				t.Fatalf("d=%d: empty bundler did not return the tie vector", d)
@@ -81,8 +81,8 @@ func TestDifferentialBundler(t *testing.T) {
 						prev = v.Rotate(added*37 - 500)
 					}
 				}
-				if b.N() != k {
-					t.Fatalf("d=%d k=%d: N() = %d", d, k, b.N())
+				if b.n != k {
+					t.Fatalf("d=%d k=%d: bundler counts %d operands", d, k, b.n)
 				}
 				if got, want := b.ThresholdTieVector(tv), acc.ThresholdTieVector(tv); !got.Equal(want) {
 					t.Fatalf("d=%d k=%d forced=%v: ThresholdTieVector diverges from the accumulator", d, k, forced)
@@ -107,8 +107,8 @@ func TestBundlerResetAndPoolReuse(t *testing.T) {
 		vs := []*Vector{Random(d, src), Random(d, src), Random(d, src), Random(d, src)}
 		tv := Random(d, src)
 		b := GetBundler(d)
-		if b.Dim() != d || b.N() != 0 {
-			t.Fatalf("d=%d: pooled bundler has dim %d, %d operands", d, b.Dim(), b.N())
+		if b.d != d || b.n != 0 {
+			t.Fatalf("d=%d: pooled bundler has dim %d, %d operands", d, b.d, b.n)
 		}
 		for _, v := range vs {
 			b.AddRotated(v, 3)
@@ -167,31 +167,12 @@ func TestBundlerPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("NewBundler(0)", func() { NewBundler(0) })
-	mustPanic("GetBundler(-1)", func() { PutBundler(GetBundler(8)); GetBundler(-1) })
-	mustPanic("Add mismatch", func() { NewBundler(8).Add(New(9)) })
-	mustPanic("AddXor mismatch", func() { NewBundler(8).AddXor(New(8), New(9)) })
-	mustPanic("AddXor bundler mismatch", func() { NewBundler(8).AddXor(New(9), New(9)) })
-	mustPanic("AddRotated mismatch", func() { NewBundler(8).AddRotated(New(9), 1) })
-	mustPanic("tie vector mismatch", func() { NewBundler(8).ThresholdTieVector(New(9)) })
-	mustPanic("TieRandom without source", func() { NewBundler(8).threshold(TieRandom, nil) })
-}
-
-func BenchmarkBundlerRecord8(b *testing.B) {
-	src := newTestSource(44)
-	keys, vals := make([]*Vector, 8), make([]*Vector, 8)
-	for i := range keys {
-		keys[i], vals[i] = Random(4096, src), Random(4096, src)
-	}
-	tv := Random(4096, src)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bu := GetBundler(4096)
-		for f := range keys {
-			bu.AddXor(keys[f], vals[f])
-		}
-		_ = bu.ThresholdTieVector(tv)
-		PutBundler(bu)
-	}
+	mustPanic("GetBundler(0)", func() { GetBundler(0) })
+	mustPanic("GetBundler(-1) after a pooled bundler", func() { PutBundler(GetBundler(8)); GetBundler(-1) })
+	mustPanic("Add mismatch", func() { GetBundler(8).Add(New(9)) })
+	mustPanic("AddXor mismatch", func() { GetBundler(8).AddXor(New(8), New(9)) })
+	mustPanic("AddXor bundler mismatch", func() { GetBundler(8).AddXor(New(9), New(9)) })
+	mustPanic("AddRotated mismatch", func() { GetBundler(8).AddRotated(New(9), 1) })
+	mustPanic("tie vector mismatch", func() { GetBundler(8).ThresholdTieVector(New(9)) })
+	mustPanic("TieRandom without source", func() { GetBundler(8).threshold(TieRandom, nil) })
 }

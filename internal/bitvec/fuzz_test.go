@@ -105,7 +105,8 @@ func FuzzBundlerMatchesAccumulator(f *testing.F) {
 		n := int(nRaw) % 1001
 		key := vecFromBytes(d, pool, 3)
 		tv := vecFromBytes(d, pool, 5).Not()
-		b := NewBundler(d)
+		b := GetBundler(d)
+		defer PutBundler(b)
 		acc := NewAccumulator(d)
 		var prev *Vector
 		for i := 0; i < n; i++ {
