@@ -180,7 +180,8 @@ func (b *Bundler) AddRotated(v *Vector, k int) {
 // compare is the plane-wise comparator for word wi, most significant plane
 // first: gt collects the positions whose count exceeds n/2, eq those whose
 // planes so far equal n/2's bits. Ties — eq at the end, possible only for
-// even n — are returned masked to the dimension.
+// even n — are returned masked to the dimension: positions beyond d count
+// 0, which ties when n = 0.
 func (b *Bundler) compare(wi int) (gt, ties uint64) {
 	planes, nw, thr := b.planes, b.nw, uint(b.n>>1)
 	eq := ^uint64(0)

@@ -100,6 +100,7 @@ func FuzzBundlerMatchesAccumulator(f *testing.F) {
 	f.Add([]byte("operands"), uint16(999), uint16(128), uint64(5), true)      // d=1000, forced ties
 	f.Add([]byte{0xc3, 0x3c}, uint16(999), uint16(1000), uint64(3), false)    // d=1000, 1000 operands
 	f.Add([]byte{}, uint16(127), uint16(0), uint64(0), false)                 // no operands: the tie vector
+	f.Add([]byte{0x0f}, uint16(126), uint16(0), uint64(4), false)             // no operands, d=127: tail positions tie
 	f.Fuzz(func(t *testing.T, pool []byte, dRaw, nRaw uint16, sel uint64, tie bool) {
 		d := fuzzDim(dRaw)
 		n := int(nRaw) % 1001

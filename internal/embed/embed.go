@@ -473,22 +473,16 @@ func (e *NGramEncoder) Encode(items []*bitvec.Vector) *bitvec.Vector {
 	}
 	b := bitvec.GetBundler(e.d)
 	defer bitvec.PutBundler(b)
-	if n == 1 {
-		for _, v := range items {
-			b.Add(v)
-		}
-		return b.ThresholdTieVector(e.tieVec)
-	}
 	// Each gram Π^{n−1}(x_s) ⊗ … ⊗ Π(x_{s+n−2}) ⊗ x_{s+n−1} is built in
-	// Horner form — g ← Π(g) ⊗ x — so a gram costs n−1 rotations into a
-	// scratch vector, and the final binding is fused into the bundle.
+	// Horner form, g ← Π(g) ⊗ x, so a gram costs n−1 rotations into a
+	// scratch vector.
 	g, rot := bitvec.New(e.d), bitvec.New(e.d)
 	for start := 0; start+n <= len(items); start++ {
 		g.CopyFrom(items[start])
-		for k := 1; k < n-1; k++ {
+		for k := 1; k < n; k++ {
 			g.RotateInto(1, rot).XorInto(items[start+k], g)
 		}
-		b.AddXor(g.RotateInto(1, rot), items[start+n-1])
+		b.Add(g)
 	}
 	return b.ThresholdTieVector(e.tieVec)
 }
