@@ -1,189 +1,134 @@
 package bitvec
 
-// Binary serialization. HDC models are deployed to embedded targets where a
-// trained basis set or classifier is burned into flash; the wire format
-// here is the minimal little-endian framing those loaders want:
+// Binary serialization through internal/codec. HDC models are deployed to
+// embedded targets where a trained basis set or classifier is burned into
+// flash; the formats here are the minimal framings those loaders want:
 //
-//	magic "HVEC" | uint32 version | uint64 dimension | words…
-//
-// Only encoding/binary-style manual packing is used (stdlib, no reflection).
+//	vector:      magic "HVEC" | u32 version | u64 dimension | words
+//	accumulator: magic "HACC" | u32 version | u64 dimension | i64 n
+//	             | dimension × i32 counts
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+
+	"hdcirc/internal/codec"
 )
 
 const (
 	vectorMagic   = "HVEC"
-	vectorVersion = 1
+	accMagic      = "HACC"
+	formatVersion = 1
+
+	// maxDim bounds a decoded dimension: it sizes allocations from
+	// untrusted input and must stay clear of 32-bit int wraparound.
+	maxDim = 1 << 27
 )
+
+// Encode appends v in the HVEC framing.
+func (v *Vector) Encode(w *codec.Writer) {
+	w.Header(vectorMagic, formatVersion)
+	w.U64(uint64(v.d))
+	w.Words(v.words)
+}
+
+// DecodeVector reads one HVEC-framed vector; on failure it returns nil and
+// the error is in r.Err.
+func DecodeVector(r *codec.Reader) *Vector {
+	r.Header(vectorMagic, formatVersion)
+	d := r.Count(r.U64(), maxDim, 0)
+	if r.Err() == nil && d == 0 {
+		r.Fail(errors.New("bitvec: zero dimension"))
+	}
+	words := r.Words(r.Count(uint64(wordsFor(d)), maxDim, 8))
+	if r.Err() != nil {
+		return nil
+	}
+	v, err := NewFromWords(d, words)
+	r.Fail(err)
+	return v
+}
 
 // WriteTo serializes the vector to w in the HVEC framing. It implements
 // io.WriterTo.
 func (v *Vector) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	header := make([]byte, 4+4+8)
-	copy(header, vectorMagic)
-	binary.LittleEndian.PutUint32(header[4:], vectorVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(v.d))
-	k, err := w.Write(header)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	buf := make([]byte, 8*len(v.words))
-	for i, word := range v.words {
-		binary.LittleEndian.PutUint64(buf[8*i:], word)
-	}
-	k, err = w.Write(buf)
-	n += int64(k)
-	return n, err
+	cw := codec.NewWriter(make([]byte, 0, 16+8*len(v.words)))
+	v.Encode(cw)
+	return cw.WriteTo(w)
 }
 
 // ReadVector deserializes a vector written by WriteTo.
-func ReadVector(r io.Reader) (*Vector, error) {
-	header := make([]byte, 4+4+8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("bitvec: reading header: %w", err)
+func ReadVector(src io.Reader) (*Vector, error) {
+	r := codec.NewReader(src)
+	if v := DecodeVector(r); v != nil {
+		return v, nil
 	}
-	if string(header[:4]) != vectorMagic {
-		return nil, errors.New("bitvec: bad magic (not a hypervector stream)")
-	}
-	if ver := binary.LittleEndian.Uint32(header[4:]); ver != vectorVersion {
-		return nil, fmt.Errorf("bitvec: unsupported version %d", ver)
-	}
-	// Bounded like ReadAccumulator: the dimension sizes an allocation from
-	// untrusted input and must stay clear of 32-bit int wraparound.
-	d64 := binary.LittleEndian.Uint64(header[8:])
-	if d64 == 0 || d64 > 1<<27 {
-		return nil, fmt.Errorf("bitvec: implausible dimension %d", d64)
-	}
-	d := int(d64)
-	v := New(d)
-	buf := make([]byte, 8*len(v.words))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("bitvec: reading words: %w", err)
-	}
-	for i := range v.words {
-		v.words[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	if tail := v.tailMask(); v.words[len(v.words)-1]&^tail != 0 {
-		return nil, errors.New("bitvec: corrupt stream: tail bits set beyond dimension")
-	}
-	return v, nil
+	return nil, fmt.Errorf("bitvec: reading vector: %w", r.Err())
 }
 
-const (
-	accMagic   = "HACC"
-	accVersion = 1
-)
+// Encode appends the accumulator — the EXACT training state, counters and
+// addition count, not the thresholded prototype — in the HACC framing.
+// This is what durable checkpoints (internal/serve) persist so that
+// replaying a write-ahead-log suffix on the restored state stays
+// bit-identical to a full sequential replay; the finalized-prototype
+// formats (HVEC/HCLS/HREG) cannot promise that because they re-seed at
+// unit weight.
+func (a *Accumulator) Encode(w *codec.Writer) {
+	w.Header(accMagic, formatVersion)
+	w.U64(uint64(a.d))
+	w.U64(uint64(a.n))
+	w.Int32s(a.counts)
+}
 
-// WriteTo serializes the accumulator — the EXACT training state, counters
-// and addition count, not the thresholded prototype. This is what durable
-// checkpoints (internal/serve) persist so that replaying a write-ahead-log
-// suffix on the restored state stays bit-identical to a full sequential
-// replay; the finalized-prototype formats (HVEC/HCLS/HREG) cannot promise
-// that because they re-seed at unit weight.
-//
-//	stream: magic "HACC" | uint32 version | uint64 dimension | int64 n
-//	        | dimension × int32 counts
+// DecodeAccumulator reads one HACC-framed accumulator; on failure it
+// returns nil and the error is in r.Err. The result is state-identical to
+// the saved one: it thresholds to the same prototype and continues
+// training exactly where the original would have.
+func DecodeAccumulator(r *codec.Reader) *Accumulator {
+	r.Header(accMagic, formatVersion)
+	d := r.Count(r.U64(), maxDim, 0)
+	if r.Err() == nil && d == 0 {
+		r.Fail(errors.New("bitvec: zero accumulator dimension"))
+	}
+	n := int(int64(r.U64()))
+	counts := r.Int32s(r.Count(uint64(d), maxDim, 4))
+	if r.Err() != nil {
+		return nil
+	}
+	return &Accumulator{d: d, counts: counts, n: n}
+}
+
+// WriteTo serializes the accumulator in the HACC framing.
 func (a *Accumulator) WriteTo(w io.Writer) (int64, error) {
-	header := make([]byte, 4+4+8+8)
-	copy(header, accMagic)
-	binary.LittleEndian.PutUint32(header[4:], accVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(a.d))
-	binary.LittleEndian.PutUint64(header[16:], uint64(a.n))
-	var n int64
-	k, err := w.Write(header)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	buf := make([]byte, 4*len(a.counts))
-	for i, c := range a.counts {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(c))
-	}
-	k, err = w.Write(buf)
-	n += int64(k)
-	return n, err
+	cw := codec.NewWriter(make([]byte, 0, 24+4*len(a.counts)))
+	a.Encode(cw)
+	return cw.WriteTo(w)
 }
 
-// ReadAccumulator deserializes an accumulator written by WriteTo. The
-// result is state-identical to the saved one: it thresholds to the same
-// prototype and continues training exactly where the original would have.
-func ReadAccumulator(r io.Reader) (*Accumulator, error) {
-	header := make([]byte, 4+4+8+8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("bitvec: reading accumulator header: %w", err)
+// ReadAccumulator deserializes an accumulator written by WriteTo.
+func ReadAccumulator(src io.Reader) (*Accumulator, error) {
+	r := codec.NewReader(src)
+	if a := DecodeAccumulator(r); a != nil {
+		return a, nil
 	}
-	if string(header[:4]) != accMagic {
-		return nil, errors.New("bitvec: bad magic (not an accumulator stream)")
-	}
-	if ver := binary.LittleEndian.Uint32(header[4:]); ver != accVersion {
-		return nil, fmt.Errorf("bitvec: unsupported accumulator version %d", ver)
-	}
-	// The bound is deliberately far below what int can hold: the dimension
-	// drives a 4-byte-per-dimension allocation from untrusted input, and on
-	// 32-bit builds anything past 1<<31 would wrap int negative and panic
-	// in NewAccumulator instead of erroring.
-	d64 := binary.LittleEndian.Uint64(header[8:])
-	if d64 == 0 || d64 > 1<<27 {
-		return nil, fmt.Errorf("bitvec: implausible accumulator dimension %d", d64)
-	}
-	a := NewAccumulator(int(d64))
-	a.n = int(int64(binary.LittleEndian.Uint64(header[16:])))
-	buf := make([]byte, 4*len(a.counts))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("bitvec: reading accumulator counts: %w", err)
-	}
-	for i := range a.counts {
-		a.counts[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return a, nil
+	return nil, fmt.Errorf("bitvec: reading accumulator: %w", r.Err())
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (v *Vector) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 16+8*len(v.words))
-	w := &appendWriter{buf: buf}
-	if _, err := v.WriteTo(w); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
+	w := codec.NewWriter(make([]byte, 0, 16+8*len(v.words)))
+	v.Encode(w)
+	return w.Bytes(), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (v *Vector) UnmarshalBinary(data []byte) error {
-	got, err := ReadVector(&sliceReader{data: data})
-	if err != nil {
-		return err
+	r := codec.NewBytesReader(data)
+	got := DecodeVector(r)
+	if got == nil {
+		return fmt.Errorf("bitvec: reading vector: %w", r.Err())
 	}
 	*v = *got
 	return nil
-}
-
-// appendWriter is an io.Writer over an append-grown buffer.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// sliceReader is a minimal io.Reader over a byte slice (avoids importing
-// bytes for one call site).
-type sliceReader struct {
-	data []byte
-	off  int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }

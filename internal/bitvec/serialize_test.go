@@ -2,7 +2,6 @@ package bitvec
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -159,21 +158,5 @@ func TestReadAccumulatorRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadAccumulator(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); err == nil {
 		t.Error("truncated accumulator stream accepted")
-	}
-}
-
-func TestSliceReaderSemantics(t *testing.T) {
-	r := &sliceReader{data: []byte{1, 2, 3}}
-	p := make([]byte, 2)
-	n, err := r.Read(p)
-	if n != 2 || err != nil {
-		t.Fatalf("first read: %d, %v", n, err)
-	}
-	n, err = r.Read(p)
-	if n != 1 || err != nil {
-		t.Fatalf("second read: %d, %v", n, err)
-	}
-	if _, err := r.Read(p); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
 	}
 }

@@ -15,25 +15,25 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 
+	"hdcirc/internal/codec"
 	"hdcirc/internal/vfs"
 )
 
-// Binary manifest layout (all integers little-endian):
+// Binary manifest layout, framed through internal/codec:
 //
 //	magic "HCLU" | u32 format | u64 version
 //	u32 ring_positions | u32 ring_dim | u64 ring_seed
 //	u32 shard_count
-//	per shard: framed primary URL, u32 replica_count, framed replica URLs
+//	per shard: string primary URL, u32 replica_count, string replica URLs
 //	u32 CRC-32C over every preceding byte
 //
-// A framed string is u32 length + bytes. The CRC covers the whole file so
-// any torn write or bit flip is detected before a single field is parsed.
+// The CRC covers the whole file so any torn write or bit flip is detected
+// before a single field is parsed.
 const (
 	manifestMagic  = "HCLU"
 	manifestFormat = 1
@@ -46,9 +46,6 @@ const (
 	// maxManifestShards bounds the shard count a decoder will accept.
 	maxManifestShards = 1 << 16
 )
-
-// crcTable is the Castagnoli table shared by the repo's wire formats.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a manifest file that failed its whole-file CRC or
 // structural bounds — the bytes cannot be trusted at all, as opposed to a
@@ -159,80 +156,26 @@ func (m *Manifest) Clone() *Manifest {
 	return out
 }
 
-// appendFramed appends a u32-length-prefixed string.
-func appendFramed(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
 // EncodeBinary serializes the manifest in the HCLU format, CRC trailer
 // included. The manifest should be normalized first so the geometry the
 // CRC seals is the geometry everyone routes by.
 func (m *Manifest) EncodeBinary() []byte {
-	buf := make([]byte, 0, 64+32*len(m.Shards))
-	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, manifestFormat)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.RingPositions))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.RingDim))
-	buf = binary.LittleEndian.AppendUint64(buf, m.RingSeed)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shards)))
+	w := codec.NewWriter(make([]byte, 0, 64+32*len(m.Shards)))
+	w.Header(manifestMagic, manifestFormat)
+	w.U64(m.Version)
+	w.U32(uint32(m.RingPositions))
+	w.U32(uint32(m.RingDim))
+	w.U64(m.RingSeed)
+	w.U32(uint32(len(m.Shards)))
 	for _, s := range m.Shards {
-		buf = appendFramed(buf, s.Primary)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Replicas)))
+		w.String(s.Primary)
+		w.U32(uint32(len(s.Replicas)))
 		for _, r := range s.Replicas {
-			buf = appendFramed(buf, r)
+			w.String(r)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-}
-
-// binReader walks the decoded byte stream with bounds checks; any
-// overrun marks the manifest corrupt rather than panicking.
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *binReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.buf) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *binReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *binReader) framed() string {
-	n := r.u32()
-	if r.err != nil {
-		return ""
-	}
-	if n > maxManifestURL || r.off+int(n) > len(r.buf) {
-		r.err = ErrCorrupt
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	w.CRC()
+	return w.Bytes()
 }
 
 // DecodeBinary parses an HCLU manifest. The whole-file CRC is verified
@@ -243,41 +186,32 @@ func DecodeBinary(data []byte) (*Manifest, error) {
 	if len(data) < len(manifestMagic)+8 || string(data[:len(manifestMagic)]) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	body, err := codec.CheckCRC(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	r := &binReader{buf: body, off: len(manifestMagic)}
-	if format := r.u32(); r.err == nil && format != manifestFormat {
-		return nil, fmt.Errorf("cluster: unsupported manifest format %d (have %d)", format, manifestFormat)
+	r := codec.NewBytesReader(body)
+	r.Header(manifestMagic, manifestFormat)
+	if errors.Is(r.Err(), codec.ErrVersion) {
+		return nil, fmt.Errorf("cluster: unsupported manifest format (have %d): %w", manifestFormat, r.Err())
 	}
 	m := &Manifest{}
-	m.Version = r.u64()
-	m.RingPositions = int(r.u32())
-	m.RingDim = int(r.u32())
-	m.RingSeed = r.u64()
-	n := r.u32()
-	if r.err == nil && n > maxManifestShards {
-		return nil, fmt.Errorf("%w: shard count %d exceeds limit", ErrCorrupt, n)
-	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	m.Version = r.U64()
+	m.RingPositions = int(r.U32())
+	m.RingDim = int(r.U32())
+	m.RingSeed = r.U64()
+	n := r.Count(uint64(r.U32()), maxManifestShards, 8)
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var s ShardEndpoints
-		s.Primary = r.framed()
-		nr := r.u32()
-		if r.err == nil && nr > maxManifestShards {
-			r.err = ErrCorrupt
-			break
-		}
-		for j := uint32(0); j < nr && r.err == nil; j++ {
-			s.Replicas = append(s.Replicas, r.framed())
+		s.Primary = r.String(maxManifestURL)
+		nr := r.Count(uint64(r.U32()), maxManifestShards, 4)
+		for j := 0; j < nr && r.Err() == nil; j++ {
+			s.Replicas = append(s.Replicas, r.String(maxManifestURL))
 		}
 		m.Shards = append(m.Shards, s)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.off)
+	if r.End(); r.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.Err())
 	}
 	return m, nil
 }

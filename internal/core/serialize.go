@@ -1,83 +1,64 @@
 package core
 
-// Basis-set serialization. A trained HDC deployment ships its basis sets to
-// the target device; the framing mirrors bitvec's:
+// Basis-set serialization through internal/codec. A trained HDC deployment
+// ships its basis sets to the target device:
 //
-//	magic "HSET" | uint32 version | int32 kind | float64 r |
-//	uint64 m | uint64 d | m framed hypervectors
+//	magic "HSET" | u32 version | u32 kind | f64 r | u64 m | u64 d
+//	| m HVEC vectors
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec"
 )
 
 const (
 	setMagic   = "HSET"
 	setVersion = 1
+
+	maxSetSize = 1 << 24
+	// minVectorBytes is the smallest HVEC framing: header, dimension and
+	// one word.
+	minVectorBytes = 24
 )
 
 // WriteTo serializes the set to w. It implements io.WriterTo.
 func (s *Set) WriteTo(w io.Writer) (int64, error) {
-	header := make([]byte, 4+4+4+8+8+8)
-	copy(header, setMagic)
-	binary.LittleEndian.PutUint32(header[4:], setVersion)
-	binary.LittleEndian.PutUint32(header[8:], uint32(s.kind))
-	binary.LittleEndian.PutUint64(header[12:], math.Float64bits(s.r))
-	binary.LittleEndian.PutUint64(header[20:], uint64(s.Len()))
-	binary.LittleEndian.PutUint64(header[28:], uint64(s.d))
-	var n int64
-	k, err := w.Write(header)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
+	cw := codec.NewWriter(nil)
+	cw.Header(setMagic, setVersion)
+	cw.U32(uint32(s.kind))
+	cw.F64(s.r)
+	cw.U64(uint64(s.Len()))
+	cw.U64(uint64(s.d))
 	for _, v := range s.vecs {
-		kk, err := v.WriteTo(w)
-		n += kk
-		if err != nil {
-			return n, err
-		}
+		v.Encode(cw)
 	}
-	return n, nil
+	return cw.WriteTo(w)
 }
 
 // ReadSet deserializes a basis set written by Set.WriteTo.
-func ReadSet(r io.Reader) (*Set, error) {
-	header := make([]byte, 4+4+4+8+8+8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("core: reading set header: %w", err)
+func ReadSet(src io.Reader) (*Set, error) {
+	r := codec.NewReader(src)
+	r.Header(setMagic, setVersion)
+	kind := Kind(r.U32())
+	rparam := r.F64()
+	m := r.Count(r.U64(), maxSetSize, minVectorBytes)
+	d := r.U64()
+	if r.Err() == nil && (m == 0 || d == 0 || d > 1<<32) {
+		r.Fail(fmt.Errorf("core: implausible set shape m=%d d=%d", m, d))
 	}
-	if string(header[:4]) != setMagic {
-		return nil, errors.New("core: bad magic (not a basis-set stream)")
-	}
-	if ver := binary.LittleEndian.Uint32(header[4:]); ver != setVersion {
-		return nil, fmt.Errorf("core: unsupported set version %d", ver)
-	}
-	kind := Kind(binary.LittleEndian.Uint32(header[8:]))
-	rparam := math.Float64frombits(binary.LittleEndian.Uint64(header[12:]))
-	m := binary.LittleEndian.Uint64(header[20:])
-	d := binary.LittleEndian.Uint64(header[28:])
-	if m == 0 || m > 1<<24 {
-		return nil, fmt.Errorf("core: implausible set size %d", m)
-	}
-	if d == 0 || d > 1<<32 {
-		return nil, fmt.Errorf("core: implausible dimension %d", d)
-	}
-	vecs := make([]*bitvec.Vector, m)
-	for i := range vecs {
-		v, err := bitvec.ReadVector(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading vector %d: %w", i, err)
+	var vecs []*bitvec.Vector
+	for i := 0; i < m && r.Err() == nil; i++ {
+		v := bitvec.DecodeVector(r)
+		if v != nil && v.Dim() != int(d) {
+			r.Fail(fmt.Errorf("core: vector %d has dimension %d, header says %d", i, v.Dim(), d))
 		}
-		if v.Dim() != int(d) {
-			return nil, fmt.Errorf("core: vector %d has dimension %d, header says %d", i, v.Dim(), d)
-		}
-		vecs[i] = v
+		vecs = append(vecs, v)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: reading basis set: %w", err)
 	}
 	return &Set{kind: kind, d: int(d), r: rparam, vecs: vecs}, nil
 }

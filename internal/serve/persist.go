@@ -1,14 +1,15 @@
 package serve
 
-// Snapshot persistence and warm start. Because a snapshot is immutable,
-// saving needs no locks and can run while the server keeps serving reads
-// and applying writes — the bytes describe exactly one published version.
+// Snapshot persistence and warm start, through internal/codec. Because a
+// snapshot is immutable, saving needs no locks and can run while the
+// server keeps serving reads and applying writes — the bytes describe
+// exactly one published version.
 //
-//	stream: magic "HSRV" | uint32 format | uint64 version | uint64 samples
-//	        | uint64 pairs | uint8 flags | HCLS classifier stream
-//	        | [HREG regressor stream] | uint64 item count | framed symbols
+//	stream: magic "HSRV" | u32 format | u64 version | u64 samples
+//	        | u64 pairs | u8 flags | HCLS classifier section
+//	        | [HREG regressor section] | u64 item count | item symbols
 //
-// The classifier and regressor sections reuse internal/model's wire
+// The classifier and regressor sections are internal/model's wire
 // formats, so a snapshot's model section is readable by plain
 // model.ReadClassifier too. Like ReadClassifier, a warm start re-seeds
 // the shard accumulators with UNIT weight — the loaded server predicts
@@ -18,12 +19,12 @@ package serve
 // state and is intentionally not persisted.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec"
 	"hdcirc/internal/model"
 )
 
@@ -32,51 +33,30 @@ const (
 	snapshotFormat = 1
 
 	flagRegressor = 1 << 0
+
+	maxItems      = 1 << 28
+	maxSymbolSize = 1 << 20
 )
 
-// WriteTo serializes the snapshot. It is safe to call at any time,
-// including while the originating server keeps serving and applying.
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	header := make([]byte, 4+4+8+8+8+1)
-	copy(header, snapshotMagic)
-	binary.LittleEndian.PutUint32(header[4:], snapshotFormat)
-	binary.LittleEndian.PutUint64(header[8:], s.version)
-	binary.LittleEndian.PutUint64(header[16:], s.samples)
-	binary.LittleEndian.PutUint64(header[24:], s.pairs)
+// encode appends the snapshot as an HSRV section.
+func (s *Snapshot) encode(w *codec.Writer) {
+	w.Header(snapshotMagic, snapshotFormat)
+	w.U64(s.version)
+	w.U64(s.samples)
+	w.U64(s.pairs)
+	var flags uint8
 	if s.reg != nil {
-		header[32] |= flagRegressor
+		flags |= flagRegressor
 	}
-	var n int64
-	k, err := w.Write(header)
-	n += int64(k)
-	if err != nil {
-		return n, err
+	w.U8(flags)
+	protos := make([]*bitvec.Vector, s.classes)
+	for c := range protos {
+		protos[c] = s.ClassVector(c)
 	}
-
-	// Classifier section: assemble the global prototypes into a
-	// model.Classifier and reuse its wire format. Unit-weight seeding
-	// leaves no accumulator ties, so the streamed finalized vectors are
-	// exactly the snapshot prototypes.
-	clf := model.NewClassifier(s.classes, s.dim, 0)
-	for c := 0; c < s.classes; c++ {
-		clf.Add(c, s.ClassVector(c))
-	}
-	k64, err := clf.WriteTo(w)
-	n += k64
-	if err != nil {
-		return n, err
-	}
-
+	model.EncodeClassVectors(w, protos)
 	if s.reg != nil {
-		reg := model.NewRegressor(s.dim, 0)
-		reg.Add(s.reg, bitvec.New(s.dim)) // x ⊗ 0 = x: seeds the model vector itself
-		k64, err = reg.WriteTo(w)
-		n += k64
-		if err != nil {
-			return n, err
-		}
+		model.EncodeRegressorVector(w, s.reg)
 	}
-
 	// Item symbols in shard-major creation order. Vectors are not stored:
 	// they are a pure function of (seed, symbol), so a same-seed server
 	// regenerates them bit-identically on load.
@@ -84,29 +64,20 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	for i := range s.shards {
 		count += uint64(len(s.shards[i].syms))
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], count)
-	k, err = w.Write(buf[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
+	w.U64(count)
 	for i := range s.shards {
 		for _, sym := range s.shards[i].syms {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(len(sym)))
-			k, err = w.Write(buf[:4])
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
-			k, err = io.WriteString(w, sym)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			w.String(sym)
 		}
 	}
-	return n, nil
+}
+
+// WriteTo serializes the snapshot. It is safe to call at any time,
+// including while the originating server keeps serving and applying.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	cw := codec.NewWriter(nil)
+	s.encode(cw)
+	return cw.WriteTo(w)
 }
 
 // Restore warm-starts a FRESH server from a stream written by
@@ -116,7 +87,12 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // The server must be empty (no applied batches) and shaped compatibly
 // (same dimension and class count; the item-vector seed must match the
 // saving server's for lookups to agree).
-func (s *Server) Restore(r io.Reader) error {
+func (s *Server) Restore(src io.Reader) error {
+	return s.restore(codec.NewReader(src))
+}
+
+// restore reads an HSRV section into a fresh server; see Restore.
+func (s *Server) restore(r *codec.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version != 0 || s.samples != 0 || s.pairs != 0 || s.nitems != 0 {
@@ -128,28 +104,25 @@ func (s *Server) Restore(r io.Reader) error {
 		return errors.New("serve: Restore on a durable server (recover through Open instead)")
 	}
 
-	header := make([]byte, 4+4+8+8+8+1)
-	if _, err := io.ReadFull(r, header); err != nil {
+	r.Header(snapshotMagic, snapshotFormat)
+	version, samples, pairs := r.U64(), r.U64(), r.U64()
+	flags := r.U8()
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("serve: reading snapshot header: %w", err)
 	}
-	if string(header[:4]) != snapshotMagic {
-		return errors.New("serve: bad magic (not a server snapshot stream)")
+	// The writer sets the flag exactly when regression has trained pairs;
+	// anything else would not read back to the same snapshot.
+	if flags&^flagRegressor != 0 || (flags&flagRegressor != 0) != (pairs > 0) {
+		return fmt.Errorf("serve: snapshot flags %#x disagree with %d pairs", flags, pairs)
 	}
-	if f := binary.LittleEndian.Uint32(header[4:]); f != snapshotFormat {
-		return fmt.Errorf("serve: unsupported snapshot format %d", f)
-	}
-	version := binary.LittleEndian.Uint64(header[8:])
-	samples := binary.LittleEndian.Uint64(header[16:])
-	pairs := binary.LittleEndian.Uint64(header[24:])
-	flags := header[32]
 
-	clf, err := model.ReadClassifier(r, 0)
-	if err != nil {
+	protos := model.DecodeClassVectors(r)
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("serve: reading classifier section: %w", err)
 	}
-	if clf.NumClasses() != s.cfg.Classes || clf.Dim() != s.cfg.Dim {
+	if len(protos) != s.cfg.Classes || protos[0].Dim() != s.cfg.Dim {
 		return fmt.Errorf("serve: snapshot is %d classes × %d dims, server %d × %d",
-			clf.NumClasses(), clf.Dim(), s.cfg.Classes, s.cfg.Dim)
+			len(protos), protos[0].Dim(), s.cfg.Classes, s.cfg.Dim)
 	}
 
 	var regModel *bitvec.Vector
@@ -157,56 +130,51 @@ func (s *Server) Restore(r io.Reader) error {
 		if s.reg == nil {
 			return errors.New("serve: snapshot carries a regressor but the server has no label encoder")
 		}
-		loaded, err := model.ReadRegressor(r, 0)
-		if err != nil {
-			return fmt.Errorf("serve: reading regressor section: %w", err)
+		if regModel = model.DecodeRegressorVector(r); r.Err() != nil {
+			return fmt.Errorf("serve: reading regressor section: %w", r.Err())
 		}
-		if loaded.Dim() != s.cfg.Dim {
-			return fmt.Errorf("serve: regressor dimension %d, server %d", loaded.Dim(), s.cfg.Dim)
+		if regModel.Dim() != s.cfg.Dim {
+			return fmt.Errorf("serve: regressor dimension %d, server %d", regModel.Dim(), s.cfg.Dim)
 		}
-		regModel = loaded.Model()
 	}
 
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return fmt.Errorf("serve: reading item count: %w", err)
+	// Symbols must come shard-major and unique, as the writer emits them:
+	// only then does the restored server write the same stream back.
+	count := r.Count(r.U64(), maxItems, 4)
+	var syms []string
+	var shardOf []int
+	seen := make(map[string]bool)
+	for i := 0; i < count && r.Err() == nil; i++ {
+		sym := r.String(maxSymbolSize)
+		if r.Err() != nil {
+			break
+		}
+		sh, err := s.routeKey("item/" + sym)
+		if err != nil {
+			return err
+		}
+		if seen[sym] || (i > 0 && sh < shardOf[i-1]) {
+			return fmt.Errorf("serve: item %d (%q) is repeated or out of shard order", i, sym)
+		}
+		seen[sym] = true
+		syms, shardOf = append(syms, sym), append(shardOf, sh)
 	}
-	count := binary.LittleEndian.Uint64(buf[:])
-	if count > 1<<28 {
-		return fmt.Errorf("serve: implausible item count %d", count)
-	}
-	syms := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return fmt.Errorf("serve: reading item %d: %w", i, err)
-		}
-		l := binary.LittleEndian.Uint32(buf[:4])
-		if l > 1<<20 {
-			return fmt.Errorf("serve: implausible symbol length %d", l)
-		}
-		raw := make([]byte, l)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return fmt.Errorf("serve: reading item %d: %w", i, err)
-		}
-		syms = append(syms, string(raw))
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("serve: reading item symbols: %w", err)
 	}
 
 	// Everything parsed — mutate. Seed each class's shard accumulator with
 	// the loaded prototype at unit weight: no counter is zero, so the
 	// deterministic re-finalize reproduces the prototype bit for bit.
-	for c := 0; c < s.cfg.Classes; c++ {
+	for c, v := range protos {
 		sh := s.shards[s.shardOf[c]]
-		sh.cls.Add(sh.local[c], clf.ClassVector(c))
+		sh.cls.Add(sh.local[c], v)
 	}
 	if regModel != nil {
 		s.reg.Add(regModel, bitvec.New(s.cfg.Dim))
 	}
-	for _, sym := range syms {
-		sh, err := s.routeKey("item/" + sym)
-		if err != nil {
-			return err
-		}
-		s.shards[sh].items.Get(sym)
+	for i, sym := range syms {
+		s.shards[shardOf[i]].items.Get(sym)
 	}
 	s.version = version
 	s.samples = samples

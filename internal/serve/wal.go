@@ -27,12 +27,8 @@ package serve
 // batch whose application published version N.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,6 +38,7 @@ import (
 	"time"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec"
 	"hdcirc/internal/vfs"
 	"hdcirc/internal/wal"
 )
@@ -56,17 +53,13 @@ const (
 	flagCkptCleanup   = 1 << 1
 )
 
-// ckptCRCTable checksums whole checkpoint files (Castagnoli, matching the
-// log's record CRCs).
-var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendCkptCRC appends the whole-image CRC trailer to an encoded
+// appendCkptCRC appends the whole-image CRC-32C trailer to an encoded
 // checkpoint body, yielding the exact bytes checkpoint files (and
 // replication checkpoint seeds) carry.
-func appendCkptCRC(buf []byte) []byte {
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf, ckptCRCTable))
-	return append(buf, crc[:]...)
+func appendCkptCRC(body []byte) []byte {
+	w := codec.NewWriter(body)
+	w.CRC()
+	return w.Bytes()
 }
 
 // errCkptCorrupt marks a checkpoint whose BYTES are damaged (short file,
@@ -308,45 +301,35 @@ func loadCheckpointFile(s *Server, fs vfs.FS, path string) error {
 // shape checkpoints travel in over the replication stream, where a seeding
 // follower verifies and parses the primary's bytes without a file.
 func loadCheckpointBytes(s *Server, raw []byte) error {
-	if len(raw) < 4 {
-		return fmt.Errorf("%w: file too short", errCkptCorrupt)
+	body, err := codec.CheckCRC(raw)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errCkptCorrupt, err)
 	}
-	body := raw[:len(raw)-4]
-	if got := binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != crc32.Checksum(body, ckptCRCTable) {
-		return fmt.Errorf("%w: CRC mismatch", errCkptCorrupt)
-	}
-	r := bytes.NewReader(body)
-
-	header := make([]byte, 4+4+8+4+4+1)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return fmt.Errorf("%w: reading header: %v", errCkptCorrupt, err)
-	}
-	if string(header[:4]) != ckptMagic {
-		return fmt.Errorf("%w: bad magic", errCkptCorrupt)
-	}
-	if format := binary.LittleEndian.Uint32(header[4:]); format != ckptFormat {
-		return fmt.Errorf("%w: unsupported format %d", errCkptCorrupt, format)
-	}
-	if d := binary.LittleEndian.Uint64(header[8:]); d != uint64(s.cfg.Dim) {
+	r := codec.NewBytesReader(body)
+	r.Header(ckptMagic, ckptFormat)
+	d, k, shards, flags := r.U64(), r.U32(), r.U32(), r.U8()
+	switch {
+	case r.Err() != nil:
+		return fmt.Errorf("%w: reading header: %v", errCkptCorrupt, r.Err())
+	case d != uint64(s.cfg.Dim):
 		return fmt.Errorf("serve: checkpoint dimension %d, server %d", d, s.cfg.Dim)
-	}
-	if k := binary.LittleEndian.Uint32(header[16:]); k != uint32(s.cfg.Classes) {
+	case k != uint32(s.cfg.Classes):
 		return fmt.Errorf("serve: checkpoint has %d classes, server %d", k, s.cfg.Classes)
-	}
-	if sh := binary.LittleEndian.Uint32(header[20:]); sh != uint32(len(s.shards)) {
-		return fmt.Errorf("serve: checkpoint has %d shards, server %d", sh, len(s.shards))
-	}
-	flags := header[24]
-	if flags&flagCkptRegressor != 0 && s.reg == nil {
+	case shards != uint32(len(s.shards)):
+		return fmt.Errorf("serve: checkpoint has %d shards, server %d", shards, len(s.shards))
+	case flags&^(flagCkptRegressor|flagCkptCleanup) != 0:
+		return fmt.Errorf("%w: unknown flags %#x", errCkptCorrupt, flags)
+	case flags&flagCkptRegressor != 0 && s.reg == nil:
 		return errors.New("serve: checkpoint carries a regressor but the server has no label encoder")
-	}
-	if flags&flagCkptCleanup != 0 && s.mem == nil {
+	case flags&flagCkptCleanup != 0 && s.mem == nil:
 		return errors.New("serve: checkpoint carries a cleanup memory but the server has none")
+	case (flags&flagCkptRegressor != 0) != (s.reg != nil) || (flags&flagCkptCleanup != 0) != (s.mem != nil):
+		return errors.New("serve: checkpoint model sections disagree with the server layout")
 	}
 
 	// The portable snapshot section re-creates version, counters, item
 	// symbols and (at unit weight) the prototypes...
-	if err := s.Restore(r); err != nil {
+	if err := s.restore(r); err != nil {
 		return err
 	}
 	// ...and the exact-state sections then replace the unit-weight seeds
@@ -354,35 +337,44 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 	// suffix) stays bit-identical to the original sequence.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var has [1]byte
 	for i, st := range s.shards {
-		if _, err := io.ReadFull(r, has[:]); err != nil {
-			return fmt.Errorf("serve: reading shard %d state marker: %w", i, err)
-		}
-		switch {
-		case has[0] == 0 && st.cls == nil:
-			continue
-		case has[0] == 1 && st.cls != nil:
-			if err := st.cls.RestoreStateFrom(r); err != nil {
-				return fmt.Errorf("serve: shard %d classifier state: %w", i, err)
-			}
+		switch has := r.U8(); {
+		case r.Err() != nil:
+		case has == 0 && st.cls == nil:
+		case has == 1 && st.cls != nil:
+			st.cls.DecodeState(r)
 		default:
 			return fmt.Errorf("serve: checkpoint shard %d classifier presence disagrees with server layout", i)
 		}
 	}
-	if flags&flagCkptRegressor != 0 {
-		if err := s.reg.RestoreStateFrom(r); err != nil {
-			return fmt.Errorf("serve: regressor state: %w", err)
-		}
+	if s.reg != nil {
+		s.reg.DecodeState(r)
 	}
-	if flags&flagCkptCleanup != 0 {
-		mem := s.mem
-		if err := mem.RestoreStateFrom(r); err != nil {
-			return fmt.Errorf("serve: cleanup-memory state: %w", err)
-		}
+	if s.mem != nil {
+		s.mem.DecodeState(r)
 	}
-	s.snap.Store(s.buildSnapshotLocked(nil, nil))
+	if r.End(); r.Err() != nil {
+		return fmt.Errorf("serve: reading checkpoint state: %w", r.Err())
+	}
+	// The snapshot section and the exact state were written from one
+	// version: they must finalize to the same models.
+	seeded, exact := s.snap.Load(), s.buildSnapshotLocked(nil, nil)
+	if !sameModels(seeded, exact) {
+		return fmt.Errorf("%w: snapshot section disagrees with the exact state", errCkptCorrupt)
+	}
+	s.snap.Store(exact)
 	return nil
+}
+
+// sameModels reports whether two snapshots hold the same class prototypes
+// and regression model.
+func sameModels(a, b *Snapshot) bool {
+	for c := 0; c < a.classes; c++ {
+		if !a.ClassVector(c).Equal(b.ClassVector(c)) {
+			return false
+		}
+	}
+	return (a.reg == nil) == (b.reg == nil) && (a.reg == nil || a.reg.Equal(b.reg))
 }
 
 // Checkpoint persists the server's exact current state to the durability
@@ -481,51 +473,40 @@ func (s *Server) Checkpoint() (uint64, error) {
 }
 
 // encodeCheckpoint serializes the exact server state to memory under the
-// writer lock.
+// writer lock. The body lacks the CRC trailer (appendCkptCRC).
 func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	var buf bytes.Buffer
-	header := make([]byte, 4+4+8+4+4+1)
-	copy(header, ckptMagic)
-	binary.LittleEndian.PutUint32(header[4:], ckptFormat)
-	binary.LittleEndian.PutUint64(header[8:], uint64(s.cfg.Dim))
-	binary.LittleEndian.PutUint32(header[16:], uint32(s.cfg.Classes))
-	binary.LittleEndian.PutUint32(header[20:], uint32(len(s.shards)))
+	w := codec.NewWriter(nil)
+	w.Header(ckptMagic, ckptFormat)
+	w.U64(uint64(s.cfg.Dim))
+	w.U32(uint32(s.cfg.Classes))
+	w.U32(uint32(len(s.shards)))
+	var flags uint8
 	if s.reg != nil {
-		header[24] |= flagCkptRegressor
+		flags |= flagCkptRegressor
 	}
 	if s.mem != nil {
-		header[24] |= flagCkptCleanup
+		flags |= flagCkptCleanup
 	}
-	buf.Write(header)
-
-	snap := s.snap.Load()
-	if _, err := snap.WriteTo(&buf); err != nil {
-		return 0, nil, fmt.Errorf("serve: encoding checkpoint snapshot: %w", err)
-	}
-	for i, st := range s.shards {
+	w.U8(flags)
+	s.snap.Load().encode(w)
+	for _, st := range s.shards {
 		if st.cls == nil {
-			buf.WriteByte(0)
+			w.U8(0)
 			continue
 		}
-		buf.WriteByte(1)
-		if _, err := st.cls.WriteStateTo(&buf); err != nil {
-			return 0, nil, fmt.Errorf("serve: encoding shard %d state: %w", i, err)
-		}
+		w.U8(1)
+		st.cls.EncodeState(w)
 	}
 	if s.reg != nil {
-		if _, err := s.reg.WriteStateTo(&buf); err != nil {
-			return 0, nil, fmt.Errorf("serve: encoding regressor state: %w", err)
-		}
+		s.reg.EncodeState(w)
 	}
 	if s.mem != nil {
-		if _, err := s.mem.WriteStateTo(&buf); err != nil {
-			return 0, nil, fmt.Errorf("serve: encoding cleanup-memory state: %w", err)
-		}
+		s.mem.EncodeState(w)
 	}
-	return s.version, buf.Bytes(), nil
+	return s.version, w.Bytes(), nil
 }
 
 // maybeCheckpointLocked spawns at most one background checkpoint once
@@ -587,244 +568,122 @@ func (s *Server) Close() error {
 // Batch wire codec
 // ---------------------------------------------------------------------------
 
-// Batch payload framing (all little-endian; hypervectors are raw words,
-// the dimension being fixed by the server config the log belongs to):
+// Batch payload framing (hypervectors are raw words, the dimension being
+// fixed by the server config the log belongs to):
 //
-//	uint32 nTrain   | nTrain   × (uint32 class | words)
-//	uint32 nUntrain | nUntrain × (uint32 class | words)
-//	uint32 nPairs   | nPairs   × (uint64 IEEE-754 bits | words)
-//	uint32 nItems   | nItems   × (uint32 len | bytes)
-//	uint32 nWrites  | nWrites  × (address words | data words)
-//	uint8 hasRefine | [uint32 epochs | uint32 n | n × (uint32 label | words)]
+//	u32 nTrain   | nTrain   × (u32 class | words)
+//	u32 nUntrain | nUntrain × (u32 class | words)
+//	u32 nPairs   | nPairs   × (f64 value | words)
+//	u32 nItems   | nItems   × string
+//	u32 nWrites  | nWrites  × (address words | data words)
+//	u8 hasRefine | [u32 epochs | u32 n | n × (u32 label | words)]
 
 // encodeBatch serializes a validated batch for the write-ahead log.
 func encodeBatch(b *Batch, d int) []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	var u64 [8]byte
-	putN := func(n int) {
-		binary.LittleEndian.PutUint32(u32[:], uint32(n))
-		buf.Write(u32[:])
+	vb := 8 * ((d + 63) / 64)
+	size := 21 + (len(b.Train)+len(b.Untrain))*(4+vb) + len(b.Pairs)*(8+vb) + len(b.Writes)*2*vb
+	for _, sym := range b.Items {
+		size += 4 + len(sym)
 	}
-	putVec := func(v *bitvec.Vector) {
-		for _, w := range v.Words() {
-			binary.LittleEndian.PutUint64(u64[:], w)
-			buf.Write(u64[:])
+	if b.Refine != nil {
+		size += 8 + len(b.Refine.HVs)*(4+vb)
+	}
+	w := codec.NewWriter(make([]byte, 0, size))
+	samples := func(ss []Sample) {
+		w.U32(uint32(len(ss)))
+		for _, smp := range ss {
+			w.U32(uint32(smp.Class))
+			w.Words(smp.HV.Words())
 		}
 	}
-
-	putN(len(b.Train))
-	for _, smp := range b.Train {
-		putN(smp.Class)
-		putVec(smp.HV)
-	}
-	putN(len(b.Untrain))
-	for _, smp := range b.Untrain {
-		putN(smp.Class)
-		putVec(smp.HV)
-	}
-	putN(len(b.Pairs))
+	samples(b.Train)
+	samples(b.Untrain)
+	w.U32(uint32(len(b.Pairs)))
 	for _, p := range b.Pairs {
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(p.Value))
-		buf.Write(u64[:])
-		putVec(p.X)
+		w.F64(p.Value)
+		w.Words(p.X.Words())
 	}
-	putN(len(b.Items))
+	w.U32(uint32(len(b.Items)))
 	for _, sym := range b.Items {
-		putN(len(sym))
-		buf.WriteString(sym)
+		w.String(sym)
 	}
-	putN(len(b.Writes))
-	for _, w := range b.Writes {
-		putVec(w.Address)
-		putVec(w.Data)
+	w.U32(uint32(len(b.Writes)))
+	for _, mw := range b.Writes {
+		w.Words(mw.Address.Words())
+		w.Words(mw.Data.Words())
 	}
 	if b.Refine == nil {
-		buf.WriteByte(0)
+		w.U8(0)
 	} else {
-		buf.WriteByte(1)
-		putN(b.Refine.Epochs)
-		putN(len(b.Refine.HVs))
+		w.U8(1)
+		w.U32(uint32(b.Refine.Epochs))
+		w.U32(uint32(len(b.Refine.HVs)))
 		for i, hv := range b.Refine.HVs {
-			putN(b.Refine.Labels[i])
-			putVec(hv)
+			w.U32(uint32(b.Refine.Labels[i]))
+			w.Words(hv.Words())
 		}
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
-// batchDecoder is a bounds-checked cursor over a batch payload. Every read
-// returns an error instead of panicking: the payload passed CRC, but the
-// decoder is also the last line of defense against a logic bug elsewhere.
-type batchDecoder struct {
-	data []byte
-	off  int
-	d    int
-}
-
-func (r *batchDecoder) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, errors.New("serve: truncated batch payload")
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *batchDecoder) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, errors.New("serve: truncated batch payload")
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// count reads an element count and sanity-bounds it by the bytes that
-// remain, so a corrupt count cannot drive a huge allocation.
-func (r *batchDecoder) count(minElemBytes int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if minElemBytes > 0 && int(n) > (len(r.data)-r.off)/minElemBytes {
-		return 0, fmt.Errorf("serve: batch payload count %d exceeds remaining bytes", n)
-	}
-	return int(n), nil
-}
-
-func (r *batchDecoder) vec() (*bitvec.Vector, error) {
-	v := bitvec.New(r.d)
-	words := v.Words()
-	if r.off+8*len(words) > len(r.data) {
-		return nil, errors.New("serve: truncated hypervector in batch payload")
-	}
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(r.data[r.off:])
-		r.off += 8
-	}
-	if tail := uint(r.d % 64); tail != 0 {
-		if words[len(words)-1]&^(uint64(1)<<tail-1) != 0 {
-			return nil, errors.New("serve: batch payload hypervector has bits past the dimension")
-		}
-	}
-	return v, nil
-}
-
-// decodeBatch parses a payload produced by encodeBatch into dst.
+// decodeBatch parses a payload produced by encodeBatch into dst. The
+// payload passed its CRC, but the decoder is also the last line of defense
+// against a logic bug elsewhere: every count is bounded by the bytes that
+// remain.
 func decodeBatch(payload []byte, d int, dst *Batch) error {
-	r := &batchDecoder{data: payload, d: d}
-	vecBytes := 8 * ((d + 63) / 64)
-
-	n, err := r.count(4 + vecBytes)
-	if err != nil {
-		return err
-	}
-	dst.Train = make([]Sample, n)
-	for i := range dst.Train {
-		class, err := r.u32()
-		if err != nil {
-			return err
+	r := codec.NewBytesReader(payload)
+	nw := (d + 63) / 64
+	count := func(elemBytes int) int { return r.Count(uint64(r.U32()), math.MaxUint32, elemBytes) }
+	vec := func() *bitvec.Vector {
+		words := r.Words(nw)
+		if r.Err() != nil {
+			return nil
 		}
-		hv, err := r.vec()
-		if err != nil {
-			return err
+		v, err := bitvec.NewFromWords(d, words)
+		r.Fail(err)
+		return v
+	}
+	samples := func() []Sample {
+		out := make([]Sample, count(4+8*nw))
+		for i := range out {
+			out[i].Class = int(r.U32())
+			out[i].HV = vec()
 		}
-		dst.Train[i] = Sample{Class: int(class), HV: hv}
+		return out
 	}
-	if n, err = r.count(4 + vecBytes); err != nil {
-		return err
-	}
-	dst.Untrain = make([]Sample, n)
-	for i := range dst.Untrain {
-		class, err := r.u32()
-		if err != nil {
-			return err
-		}
-		hv, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Untrain[i] = Sample{Class: int(class), HV: hv}
-	}
-	if n, err = r.count(8 + vecBytes); err != nil {
-		return err
-	}
-	dst.Pairs = make([]Pair, n)
+	dst.Train = samples()
+	dst.Untrain = samples()
+	dst.Pairs = make([]Pair, count(8+8*nw))
 	for i := range dst.Pairs {
-		bits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		x, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Pairs[i] = Pair{X: x, Value: math.Float64frombits(bits)}
+		dst.Pairs[i].Value = r.F64()
+		dst.Pairs[i].X = vec()
 	}
-	if n, err = r.count(4); err != nil {
-		return err
-	}
-	dst.Items = make([]string, n)
+	dst.Items = make([]string, count(4))
 	for i := range dst.Items {
-		l, err := r.count(1)
-		if err != nil {
-			return err
-		}
-		if r.off+l > len(r.data) {
-			return errors.New("serve: truncated item symbol in batch payload")
-		}
-		dst.Items[i] = string(r.data[r.off : r.off+l])
-		r.off += l
+		dst.Items[i] = r.String(len(payload))
 	}
-	if n, err = r.count(2 * vecBytes); err != nil {
-		return err
-	}
-	dst.Writes = make([]MemWrite, n)
+	dst.Writes = make([]MemWrite, count(16*nw))
 	for i := range dst.Writes {
-		addr, err := r.vec()
-		if err != nil {
-			return err
-		}
-		data, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Writes[i] = MemWrite{Address: addr, Data: data}
+		dst.Writes[i].Address = vec()
+		dst.Writes[i].Data = vec()
 	}
-	if r.off >= len(r.data) {
-		return errors.New("serve: truncated batch payload")
-	}
-	hasRefine := r.data[r.off]
-	r.off++
 	dst.Refine = nil
-	if hasRefine == 1 {
-		epochs, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if n, err = r.count(4 + vecBytes); err != nil {
-			return err
-		}
-		ref := &Refine{Epochs: int(epochs), HVs: make([]*bitvec.Vector, n), Labels: make([]int, n)}
+	switch r.U8() {
+	case 0:
+	case 1:
+		ref := &Refine{Epochs: int(r.U32())}
+		n := count(4 + 8*nw)
+		ref.HVs, ref.Labels = make([]*bitvec.Vector, n), make([]int, n)
 		for i := 0; i < n; i++ {
-			label, err := r.u32()
-			if err != nil {
-				return err
-			}
-			hv, err := r.vec()
-			if err != nil {
-				return err
-			}
-			ref.Labels[i] = int(label)
-			ref.HVs[i] = hv
+			ref.Labels[i] = int(r.U32())
+			ref.HVs[i] = vec()
 		}
 		dst.Refine = ref
-	} else if hasRefine != 0 {
-		return errors.New("serve: bad refine marker in batch payload")
+	default:
+		r.Fail(errors.New("serve: bad refine marker in batch payload"))
 	}
-	if r.off != len(r.data) {
-		return errors.New("serve: trailing bytes in batch payload")
+	if r.End(); r.Err() != nil {
+		return fmt.Errorf("serve: batch payload: %w", r.Err())
 	}
 	return nil
 }

@@ -6,11 +6,11 @@
 //
 // # On-disk layout
 //
-// A log is a directory of segment files named wal-<firstSeq>.seg:
+// A log is a directory of segment files named wal-<firstSeq>.seg, framed
+// through internal/codec:
 //
-//	segment: magic "HWSG" | uint32 format | uint64 firstSeq
-//	record:  uint32 payloadLen | uint32 crc32c(seq ‖ payload)
-//	         | uint64 seq | payload
+//	segment: magic "HWSG" | u32 format | u64 firstSeq
+//	record:  u32 payloadLen | u32 crc32c(seq ‖ payload) | u64 seq | payload
 //
 // Records never span segments. Rotation closes the current segment once it
 // exceeds Options.SegmentBytes and opens a fresh one whose header names
@@ -32,10 +32,9 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -44,6 +43,7 @@ import (
 	"strings"
 	"sync"
 
+	"hdcirc/internal/codec"
 	"hdcirc/internal/vfs"
 )
 
@@ -61,10 +61,6 @@ const (
 	// allocate past this.
 	MaxRecordBytes = 1 << 26 // 64 MiB
 )
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on the
-// platforms this repo targets.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a Log. The zero value is safe: 4 MiB segments, fsync on
 // every append.
@@ -97,8 +93,14 @@ func (o *Options) norm() {
 type segment struct {
 	path     string
 	firstSeq uint64
-	records  uint64 // valid records (set during Open's scan)
+	// ends holds the byte offset one past each intact record, set by
+	// Open's scan and by Append, so readers seek straight to a record.
+	// Append only ever appends, so a copy taken under the lock stays valid.
+	ends []int64
 }
+
+// records returns the number of intact records.
+func (s *segment) records() uint64 { return uint64(len(s.ends)) }
 
 // Log is an append-only segmented record log. Append/Sync/TruncateBefore/
 // Close are safe for concurrent use; Replay is only valid between Open and
@@ -146,12 +148,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		if scanErr != nil {
 			// This segment is unusable from intactBytes on. Keep its intact
 			// prefix when it has one; set aside everything after the fault.
-			if seg.records > 0 || intactBytes > segHeaderLen {
+			if seg.records() > 0 {
 				if err := fs.Truncate(path, intactBytes); err != nil {
 					return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", name, err)
 				}
 				l.segs = append(l.segs, seg)
-				l.nextSeq = seg.firstSeq + seg.records
+				l.nextSeq = seg.firstSeq + seg.records()
 			} else if err := setAside(fs, path); err != nil {
 				return nil, err
 			}
@@ -163,9 +165,9 @@ func Open(dir string, opts Options) (*Log, error) {
 			break
 		}
 		l.segs = append(l.segs, seg)
-		l.nextSeq = seg.firstSeq + seg.records
+		l.nextSeq = seg.firstSeq + seg.records()
 	}
-	if len(l.segs) > 0 && l.segs[len(l.segs)-1].records == 0 {
+	if len(l.segs) > 0 && l.segs[len(l.segs)-1].records() == 0 {
 		// A crash between rotation and the first record leaves an empty tail
 		// segment whose name the next rotation would want back; drop it.
 		tail := l.segs[len(l.segs)-1]
@@ -242,17 +244,12 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 	defer f.Close()
 
 	seg := segment{path: path}
-	header := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(f, header); err != nil {
+	r := codec.NewReader(bufio.NewReader(f))
+	r.Header(segmentMagic, segmentFormat)
+	seg.firstSeq = r.U64()
+	if err := r.Err(); err != nil {
 		return seg, 0, fmt.Errorf("wal: segment header: %w", err)
 	}
-	if string(header[:4]) != segmentMagic {
-		return seg, 0, errors.New("wal: bad segment magic")
-	}
-	if format := binary.LittleEndian.Uint32(header[4:]); format != segmentFormat {
-		return seg, 0, fmt.Errorf("wal: unsupported segment format %d", format)
-	}
-	seg.firstSeq = binary.LittleEndian.Uint64(header[8:])
 	if nameSeq, err := seqFromName(filepath.Base(path)); err != nil || nameSeq != seg.firstSeq {
 		return seg, 0, errors.New("wal: segment header disagrees with file name")
 	}
@@ -262,36 +259,31 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 
 	intact := int64(segHeaderLen)
 	next := seg.firstSeq
-	rec := make([]byte, recHeaderLen)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, rec); err != nil {
-			if err == io.EOF {
-				return seg, intact, nil // clean end
-			}
+		plen := r.U32()
+		if errors.Is(r.Err(), io.EOF) && r.Offset() == intact {
+			return seg, intact, nil // clean end
+		}
+		crc, seq := r.U32(), r.U64()
+		switch {
+		case r.Err() != nil:
 			return seg, intact, fmt.Errorf("wal: torn record header at offset %d", intact)
-		}
-		plen := binary.LittleEndian.Uint32(rec[0:])
-		crc := binary.LittleEndian.Uint32(rec[4:])
-		seq := binary.LittleEndian.Uint64(rec[8:])
-		if plen > MaxRecordBytes {
+		case plen > MaxRecordBytes:
 			return seg, intact, fmt.Errorf("wal: implausible record length %d at offset %d", plen, intact)
-		}
-		if seq != next {
+		case seq != next:
 			return seg, intact, fmt.Errorf("wal: sequence break at offset %d: record %d, expected %d", intact, seq, next)
 		}
-		if int(plen) > cap(payload) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		// The buffer only grows with bytes actually read, so a torn length
+		// cannot drive a large allocation.
+		if payload = r.Bytes(int(plen), payload); r.Err() != nil {
 			return seg, intact, fmt.Errorf("wal: torn record payload at offset %d", intact)
 		}
 		if recordCRC(seq, payload) != crc {
 			return seg, intact, fmt.Errorf("wal: CRC mismatch at offset %d (record %d)", intact, seq)
 		}
 		intact += int64(recHeaderLen) + int64(plen)
-		seg.records++
+		seg.ends = append(seg.ends, intact)
 		next++
 	}
 }
@@ -306,8 +298,9 @@ func RecordCRC(seq uint64, payload []byte) uint32 { return recordCRC(seq, payloa
 // payload, so a frame copied to the wrong position fails verification.
 func recordCRC(seq uint64, payload []byte) uint32 {
 	var sb [8]byte
-	binary.LittleEndian.PutUint64(sb[:], seq)
-	return crc32.Update(crc32.Checksum(sb[:], crcTable), crcTable, payload)
+	w := codec.NewWriter(sb[:0])
+	w.U64(seq)
+	return codec.Checksum(codec.Checksum(0, w.Bytes()), payload)
 }
 
 // NextSeq returns the sequence number the next Append will be assigned.
@@ -343,7 +336,7 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	l.mu.Unlock()
 
 	for _, seg := range segs {
-		if seg.firstSeq+seg.records <= from {
+		if seg.firstSeq+seg.records() <= from {
 			continue // fully below the replay point
 		}
 		if err := replaySegment(l.fs, seg, from, fn); err != nil {
@@ -353,32 +346,36 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	return nil
 }
 
+// replaySegment reads the records with seq >= from straight from their
+// offsets, one read per record, and re-verifies each frame.
 func replaySegment(fs vfs.FS, seg segment, from uint64, fn func(uint64, []byte) error) error {
+	first := 0
+	if from > seg.firstSeq {
+		first = int(from - seg.firstSeq)
+	}
+	start := int64(segHeaderLen)
+	if first > 0 {
+		start = seg.ends[first-1]
+	}
 	f, err := fs.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("wal: reopening segment for replay: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
+	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return err
 	}
-	rec := make([]byte, recHeaderLen)
-	for i := uint64(0); i < seg.records; i++ {
-		if _, err := io.ReadFull(f, rec); err != nil {
+	for i := first; i < len(seg.ends); i++ {
+		frame := make([]byte, seg.ends[i]-start)
+		if _, err := io.ReadFull(f, frame); err != nil {
 			return fmt.Errorf("wal: replay read: %w", err)
 		}
-		plen := binary.LittleEndian.Uint32(rec[0:])
-		crc := binary.LittleEndian.Uint32(rec[4:])
-		seq := binary.LittleEndian.Uint64(rec[8:])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
-		if recordCRC(seq, payload) != crc {
-			return fmt.Errorf("wal: replay CRC mismatch on record %d", seq)
-		}
-		if seq < from {
-			continue
+		start = seg.ends[i]
+		r := codec.NewBytesReader(frame)
+		plen, crc, seq := r.U32(), r.U32(), r.U64()
+		payload := frame[recHeaderLen:]
+		if int(plen) != len(payload) || seq != seg.firstSeq+uint64(i) || recordCRC(seq, payload) != crc {
+			return fmt.Errorf("wal: replay CRC mismatch on record %d", seg.firstSeq+uint64(i))
 		}
 		if err := fn(seq, payload); err != nil {
 			return err
@@ -436,7 +433,7 @@ func (l *Log) StreamFrom(from uint64, fn func(seq uint64, payload []byte) error)
 	l.mu.Unlock()
 
 	for _, seg := range segs {
-		if seg.firstSeq+seg.records <= from {
+		if seg.firstSeq+seg.records() <= from {
 			continue
 		}
 		if err := replaySegment(l.fs, seg, from, fn); err != nil {
@@ -481,18 +478,19 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	}
 	seq := l.nextSeq
-	buf := make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], recordCRC(seq, payload))
-	binary.LittleEndian.PutUint64(buf[8:], seq)
-	copy(buf[recHeaderLen:], payload)
-	if _, err := l.cur.Write(buf); err != nil {
+	w := codec.NewWriter(make([]byte, 0, recHeaderLen+len(payload)))
+	w.U32(uint32(len(payload)))
+	w.U32(recordCRC(seq, payload))
+	w.U64(seq)
+	w.Raw(payload)
+	if _, err := w.WriteTo(l.cur); err != nil {
 		l.failed = err
 		return 0, fmt.Errorf("wal: appending record %d: %w", seq, err)
 	}
-	l.curSize += int64(len(buf))
+	l.curSize += int64(len(w.Bytes()))
 	l.nextSeq++
-	l.segs[len(l.segs)-1].records++
+	tail := &l.segs[len(l.segs)-1]
+	tail.ends = append(tail.ends, l.curSize)
 	l.appended = true
 	l.unsynced++
 	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
@@ -523,11 +521,10 @@ func (l *Log) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	header := make([]byte, segHeaderLen)
-	copy(header, segmentMagic)
-	binary.LittleEndian.PutUint32(header[4:], segmentFormat)
-	binary.LittleEndian.PutUint64(header[8:], l.nextSeq)
-	if _, err := f.Write(header); err != nil {
+	header := codec.NewWriter(make([]byte, 0, segHeaderLen))
+	header.Header(segmentMagic, segmentFormat)
+	header.U64(l.nextSeq)
+	if _, err := header.WriteTo(f); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
@@ -578,7 +575,7 @@ func (l *Log) TruncateBefore(from uint64) error {
 	kept := l.segs[:0]
 	for i, seg := range l.segs {
 		last := i == len(l.segs)-1
-		end := seg.firstSeq + seg.records // one past the last record
+		end := seg.firstSeq + seg.records() // one past the last record
 		if !last && end <= from {
 			if err := l.fs.Remove(seg.path); err != nil {
 				// Keep state consistent with disk on failure.
