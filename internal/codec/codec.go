@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // chunkBytes bounds how much a stream read allocates ahead of the bytes
@@ -94,9 +95,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Raw writes p as is, with no length.
-func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
-
 // Words writes each word little-endian, with no count.
 func (w *Writer) Words(words []uint64) {
 	for _, x := range words {
@@ -130,13 +128,12 @@ func CheckCRC(data []byte) ([]byte, error) {
 
 // Reader decodes fields from an in-memory slice or from a stream. Errors
 // are sticky: the first one is kept and later reads return zero values.
-// At the first field a read that finds no input fails with io.EOF, and
-// one cut short fails with io.ErrUnexpectedEOF.
+// A read that finds the input exhausted fails with io.EOF, one cut short
+// with io.ErrUnexpectedEOF.
 type Reader struct {
 	data []byte    // in-memory input; nil with a stream
 	src  io.Reader // stream input; nil in memory
-	lenr interface{ Len() int }
-	off  int64 // bytes consumed
+	off  int       // bytes of data consumed
 	err  error
 	tmp  []byte // stream read buffer
 }
@@ -146,13 +143,8 @@ func NewBytesReader(data []byte) *Reader { return &Reader{data: data} }
 
 // NewReader returns a Reader over src. It reads exactly the bytes the
 // decoded fields span, never ahead, so src may carry further data after
-// the message. When src reports its unread length (bytes.Reader does),
-// counts are checked against it as for in-memory input.
-func NewReader(src io.Reader) *Reader {
-	r := &Reader{src: src}
-	r.lenr, _ = src.(interface{ Len() int })
-	return r
-}
+// the message.
+func NewReader(src io.Reader) *Reader { return &Reader{src: src} }
 
 // Err returns the first error the Reader met.
 func (r *Reader) Err() error { return r.err }
@@ -164,19 +156,13 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
-// Offset returns the number of bytes consumed by complete reads.
-func (r *Reader) Offset() int64 { return r.off }
-
-// remaining returns the unread input length, or -1 for a stream of
-// unknown length.
+// remaining returns the unread in-memory input length, or -1 for a
+// stream.
 func (r *Reader) remaining() int {
-	switch {
-	case r.src == nil:
-		return len(r.data) - int(r.off)
-	case r.lenr != nil:
-		return r.lenr.Len()
+	if r.src != nil {
+		return -1
 	}
-	return -1
+	return len(r.data) - r.off
 }
 
 // next consumes n bytes and returns them, or nil after recording an
@@ -193,8 +179,8 @@ func (r *Reader) next(n int) []byte {
 			}
 			return nil
 		}
-		b := r.data[r.off : int(r.off)+n]
-		r.off += int64(n)
+		b := r.data[r.off : r.off+n]
+		r.off += n
 		return b
 	}
 	if cap(r.tmp) < n {
@@ -205,7 +191,6 @@ func (r *Reader) next(n int) []byte {
 		r.err = err
 		return nil
 	}
-	r.off += int64(n)
 	return b
 }
 
@@ -268,10 +253,9 @@ func (r *Reader) Count(n, limit uint64, elemBytes int) int {
 }
 
 // reserve returns the capacity to allocate for n elements of elemBytes
-// each: all of them when the input is known to hold them, one chunk's
-// worth for a stream of unknown length. It fails with
-// io.ErrUnexpectedEOF, before anything is allocated, when the known input
-// is too short.
+// each: all of them when in-memory input holds them, one chunk's worth
+// for a stream. It fails with io.ErrUnexpectedEOF, before anything is
+// allocated, when in-memory input is too short.
 func (r *Reader) reserve(n, elemBytes int) int {
 	rem := r.remaining()
 	switch {
@@ -294,12 +278,18 @@ func (r *Reader) Bytes(n int, dst []byte) []byte {
 	if cap(out) < n {
 		out = make([]byte, 0, r.reserve(n, 1))
 	}
-	for len(out) < n {
-		b := r.next(min(n-len(out), chunkBytes))
-		if b == nil {
-			return nil
+	for len(out) < n && r.err == nil {
+		k := min(n-len(out), chunkBytes)
+		if r.src == nil {
+			out = append(out, r.next(k)...)
+			continue
 		}
-		out = append(out, b...)
+		out = slices.Grow(out, k)
+		m, err := io.ReadFull(r.src, out[len(out):len(out)+k])
+		out, r.err = out[:len(out)+m], err
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }

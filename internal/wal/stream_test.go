@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"hdcirc/internal/vfs"
 )
 
 // collect streams [from, ∞) into a map and returns (records, next).
@@ -153,5 +157,82 @@ func TestStreamFromConcurrentAppends(t *testing.T) {
 	wg.Wait()
 	if got, next := collect(t, l, 1); len(got) != total || next != total+1 {
 		t.Fatalf("final stream: %d records, next %d", len(got), next)
+	}
+}
+
+// countingFS counts the bytes read through files it opens for reading.
+type countingFS struct {
+	vfs.FS
+	read atomic.Int64
+}
+
+func (c *countingFS) Open(path string) (vfs.File, error) {
+	f, err := c.FS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{File: f, read: &c.read}, nil
+}
+
+type countingFile struct {
+	vfs.File
+	read *atomic.Int64
+}
+
+func (f countingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.read.Add(int64(n))
+	return n, err
+}
+
+// TestReadsStartAtTheRequestedRecord proves StreamFrom and Replay seek to
+// the first wanted record: reading only the newest one costs one frame of
+// I/O whether the segment holds 1 record or 1000.
+func TestReadsStartAtTheRequestedRecord(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 100)
+	frame := int64(recHeaderLen + len(payload))
+	for _, n := range []int{1, 1000} {
+		fs := &countingFS{FS: vfs.OS{}}
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SyncEvery: -1, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(l.Segments()) != 1 {
+			t.Fatalf("n=%d: %d segments, want 1", n, len(l.Segments()))
+		}
+		newest := uint64(n)
+		fs.read.Store(0)
+		got, _ := collect(t, l, newest)
+		if len(got) != 1 {
+			t.Fatalf("n=%d: streamed %d records, want 1", n, len(got))
+		}
+		if read := fs.read.Load(); read > 2*frame {
+			t.Errorf("n=%d: StreamFrom(newest) read %d bytes, want about one %d-byte frame", n, read, frame)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		l, err = Open(dir, Options{SyncEvery: -1, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.read.Store(0)
+		replayed := 0
+		if err := l.Replay(newest, func(uint64, []byte) error { replayed++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if read := fs.read.Load(); replayed != 1 || read > 2*frame {
+			t.Errorf("n=%d: Replay(newest) gave %d records reading %d bytes, want 1 record and about one %d-byte frame", n, replayed, read, frame)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,6 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -244,7 +243,7 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 	defer f.Close()
 
 	seg := segment{path: path}
-	r := codec.NewReader(bufio.NewReader(f))
+	r := codec.NewReader(f)
 	r.Header(segmentMagic, segmentFormat)
 	seg.firstSeq = r.U64()
 	if err := r.Err(); err != nil {
@@ -259,13 +258,15 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 
 	intact := int64(segHeaderLen)
 	next := seg.firstSeq
-	var payload []byte
+	seg.ends = make([]int64, 0, 64)
+	var header, payload []byte
 	for {
-		plen := r.U32()
-		if errors.Is(r.Err(), io.EOF) && r.Offset() == intact {
-			return seg, intact, nil // clean end
+		header = r.Bytes(recHeaderLen, header)
+		if errors.Is(r.Err(), io.EOF) {
+			return seg, intact, nil // not one byte of a next frame: a clean end
 		}
-		crc, seq := r.U32(), r.U64()
+		h := codec.NewBytesReader(header)
+		plen, crc, seq := h.U32(), h.U32(), h.U64()
 		switch {
 		case r.Err() != nil:
 			return seg, intact, fmt.Errorf("wal: torn record header at offset %d", intact)
@@ -279,7 +280,8 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 		if payload = r.Bytes(int(plen), payload); r.Err() != nil {
 			return seg, intact, fmt.Errorf("wal: torn record payload at offset %d", intact)
 		}
-		if recordCRC(seq, payload) != crc {
+		// The CRC covers seq‖payload, and header[8:] holds seq's bytes.
+		if codec.Checksum(codec.Checksum(0, header[8:]), payload) != crc {
 			return seg, intact, fmt.Errorf("wal: CRC mismatch at offset %d (record %d)", intact, seq)
 		}
 		intact += int64(recHeaderLen) + int64(plen)
@@ -327,23 +329,13 @@ func (l *Log) Segments() []string {
 // Append on this handle.
 func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
-	if l.appended {
-		l.mu.Unlock()
+	appended := l.appended
+	l.mu.Unlock()
+	if appended {
 		return errors.New("wal: Replay after Append")
 	}
-	segs := make([]segment, len(l.segs))
-	copy(segs, l.segs)
-	l.mu.Unlock()
-
-	for _, seg := range segs {
-		if seg.firstSeq+seg.records() <= from {
-			continue // fully below the replay point
-		}
-		if err := replaySegment(l.fs, seg, from, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := l.StreamFrom(max(from, l.OldestSeq()), fn)
+	return err
 }
 
 // replaySegment reads the records with seq >= from straight from their
@@ -374,7 +366,8 @@ func replaySegment(fs vfs.FS, seg segment, from uint64, fn func(uint64, []byte) 
 		r := codec.NewBytesReader(frame)
 		plen, crc, seq := r.U32(), r.U32(), r.U64()
 		payload := frame[recHeaderLen:]
-		if int(plen) != len(payload) || seq != seg.firstSeq+uint64(i) || recordCRC(seq, payload) != crc {
+		// The CRC covers seq‖payload, the frame from byte 8 on.
+		if int(plen) != len(payload) || seq != seg.firstSeq+uint64(i) || codec.Checksum(0, frame[8:]) != crc {
 			return fmt.Errorf("wal: replay CRC mismatch on record %d", seg.firstSeq+uint64(i))
 		}
 		if err := fn(seq, payload); err != nil {
@@ -482,12 +475,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	w.U32(uint32(len(payload)))
 	w.U32(recordCRC(seq, payload))
 	w.U64(seq)
-	w.Raw(payload)
-	if _, err := w.WriteTo(l.cur); err != nil {
+	frame := append(w.Bytes(), payload...)
+	if _, err := l.cur.Write(frame); err != nil {
 		l.failed = err
 		return 0, fmt.Errorf("wal: appending record %d: %w", seq, err)
 	}
-	l.curSize += int64(len(w.Bytes()))
+	l.curSize += int64(len(frame))
 	l.nextSeq++
 	tail := &l.segs[len(l.segs)-1]
 	tail.ends = append(tail.ends, l.curSize)
