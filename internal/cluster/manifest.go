@@ -8,17 +8,15 @@
 // writes (the wrong_shard protocol error), clients use it to route
 // requests and to split ingest streams per shard.
 //
-// The manifest travels in two encodings: HCLU, a whole-file-CRC'd binary
-// format in the HSRV/HCKP family for artifacts that must detect
-// corruption, and plain JSON for operator-authored files. Load sniffs
-// the magic and accepts either.
+// The manifest travels in two encodings: HCLU, a binary format framed by
+// internal/codec whose whole-file CRC detects corruption, and plain JSON
+// for operator-authored files. Load sniffs the magic and accepts either.
 package cluster
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"hdcirc/internal/codec"
 	"hdcirc/internal/vfs"
@@ -253,48 +251,12 @@ func Load(fs vfs.FS, path string) (*Manifest, error) {
 	return m, nil
 }
 
-// Save writes the manifest in HCLU binary form: temp file, fsync, atomic
-// rename, directory fsync — the same publish discipline as checkpoints,
-// so a crash mid-save never leaves a half-written manifest under the
-// final name.
+// Save writes the manifest in HCLU binary form through vfs.WriteFileAtomic
+// — the same publish discipline as checkpoints, so a crash mid-save never
+// leaves a half-written manifest under the final name.
 func (m *Manifest) Save(fs vfs.FS, path string) error {
-	fsys := vfs.Default(fs)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: creating manifest temp file: %w", err)
-	}
-	if _, err := f.Write(m.EncodeBinary()); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: writing manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: syncing manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: closing manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: publishing manifest: %w", err)
-	}
-	if dir := dirOf(path); dir != "" {
-		if err := fsys.SyncDir(dir); err != nil {
-			return fmt.Errorf("cluster: syncing manifest directory: %w", err)
-		}
+	if err := vfs.WriteFileAtomic(vfs.Default(fs), path, m.EncodeBinary()); err != nil {
+		return fmt.Errorf("cluster: saving manifest: %w", err)
 	}
 	return nil
-}
-
-// dirOf returns path's directory, or "." when it has none.
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			if i == 0 {
-				return string(path[0])
-			}
-			return path[:i]
-		}
-	}
-	return "."
 }

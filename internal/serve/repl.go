@@ -29,8 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+
+	"hdcirc/internal/vfs"
 )
 
 // Role is a server's position in the replication topology.
@@ -339,32 +340,8 @@ func (s *Server) InstallCheckpoint(ctx context.Context, raw []byte) error {
 // checkpoint. Called under s.mu with s.ckptMu held.
 func (s *Server) persistCheckpointLocked(version uint64, buf []byte) error {
 	fs := s.walCfg.fs()
-	path := filepath.Join(s.walCfg.Dir, checkpointName(version))
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: creating checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: publishing checkpoint: %w", err)
-	}
-	if err := fs.SyncDir(s.walCfg.Dir); err != nil {
-		return fmt.Errorf("serve: syncing durability directory: %w", err)
+	if err := vfs.WriteFileAtomic(fs, filepath.Join(s.walCfg.Dir, checkpointName(version)), buf); err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	s.lastCkpt.Store(version)
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the durability layer writes through.
@@ -118,4 +119,39 @@ func ReadFile(fs FS, path string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
+}
+
+// WriteFileAtomic publishes data under path through fs: it writes
+// path+".tmp", fsyncs and closes it, renames it over path and fsyncs the
+// directory, so a crash never leaves a half-written file under the final
+// name. A failure before the rename removes the temp file.
+func WriteFileAtomic(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("creating %s: %w", tmp, err)
+	}
+	if _, err = f.Write(data); err != nil {
+		err = fmt.Errorf("writing %s: %w", tmp, err)
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("syncing %s: %w", tmp, err)
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing %s: %w", tmp, cerr)
+	}
+	if err == nil {
+		if err = fs.Rename(tmp, path); err != nil {
+			err = fmt.Errorf("publishing %s: %w", path, err)
+		}
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	// The rename is not durable until the directory entry is — without
+	// this fsync a machine crash can resurrect the pre-rename state.
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("syncing directory of %s: %w", path, err)
+	}
+	return nil
 }
