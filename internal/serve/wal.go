@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -319,12 +318,8 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 		return fmt.Errorf("serve: checkpoint has %d shards, server %d", shards, len(s.shards))
 	case flags&^(flagCkptRegressor|flagCkptCleanup) != 0:
 		return fmt.Errorf("%w: unknown flags %#x", errCkptCorrupt, flags)
-	case flags&flagCkptRegressor != 0 && s.reg == nil:
-		return errors.New("serve: checkpoint carries a regressor but the server has no label encoder")
-	case flags&flagCkptCleanup != 0 && s.mem == nil:
-		return errors.New("serve: checkpoint carries a cleanup memory but the server has none")
-	case (flags&flagCkptRegressor != 0) != (s.reg != nil) || (flags&flagCkptCleanup != 0) != (s.mem != nil):
-		return errors.New("serve: checkpoint model sections disagree with the server layout")
+	case flags != s.ckptFlags():
+		return fmt.Errorf("serve: checkpoint regressor/cleanup-memory flags %#x, server %#x", flags, s.ckptFlags())
 	}
 
 	// The portable snapshot section re-creates version, counters, item
@@ -364,6 +359,18 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 	}
 	s.snap.Store(exact)
 	return nil
+}
+
+// ckptFlags marks which optional state sections a checkpoint of s holds.
+func (s *Server) ckptFlags() uint8 {
+	var flags uint8
+	if s.reg != nil {
+		flags |= flagCkptRegressor
+	}
+	if s.mem != nil {
+		flags |= flagCkptCleanup
+	}
+	return flags
 }
 
 // sameModels reports whether two snapshots hold the same class prototypes
@@ -412,34 +419,8 @@ func (s *Server) Checkpoint() (uint64, error) {
 	buf = appendCkptCRC(buf)
 
 	fs := s.walCfg.fs()
-	path := filepath.Join(s.walCfg.Dir, checkpointName(version))
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("serve: creating checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: publishing checkpoint: %w", err)
-	}
-	// The rename is not durable until the directory entry is — without
-	// this fsync a machine crash can resurrect the pre-rename state.
-	if err := fs.SyncDir(s.walCfg.Dir); err != nil {
-		return 0, fmt.Errorf("serve: syncing durability directory: %w", err)
+	if err := vfs.WriteFileAtomic(fs, filepath.Join(s.walCfg.Dir, checkpointName(version)), buf); err != nil {
+		return 0, fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	s.lastCkpt.Store(version)
 
@@ -483,14 +464,7 @@ func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
 	w.U64(uint64(s.cfg.Dim))
 	w.U32(uint32(s.cfg.Classes))
 	w.U32(uint32(len(s.shards)))
-	var flags uint8
-	if s.reg != nil {
-		flags |= flagCkptRegressor
-	}
-	if s.mem != nil {
-		flags |= flagCkptCleanup
-	}
-	w.U8(flags)
+	w.U8(s.ckptFlags())
 	s.snap.Load().encode(w)
 	for _, st := range s.shards {
 		if st.cls == nil {
