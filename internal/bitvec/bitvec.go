@@ -33,6 +33,8 @@
 // fuzz_test.go) — every kernel is bit-identical to its reference,
 // including random tie-coin consumption.
 //
+// Vectors and accumulators serialize as HVEC/HACC through internal/codec.
+//
 // A Vector is a point in H = {0,1}^d. The zero value is not usable; create
 // vectors with New, NewFromBits or Random.
 package bitvec

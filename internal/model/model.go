@@ -12,6 +12,9 @@
 // of φ(x) ⊗ φℓ(y) pairs. Prediction unbinds the query (binding is its own
 // inverse), cleans up against the label basis and decodes.
 //
+// Models serialize through internal/codec (serialize.go): prototypes and
+// model vector as HCLS/HREG, exact accumulators as HCST/HRST.
+//
 // # Concurrency
 //
 // Reads (Predict, Scores, ClassVector, Model, PredictVector) are safe to

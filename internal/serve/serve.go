@@ -30,6 +30,9 @@
 // symbols to per-shard sub-models, so k classes or large item memories
 // spread across shards, and the per-shard work (apply, finalize, scans)
 // fans out over the internal/batch pool.
+//
+// Snapshots (HSRV), checkpoints (HCKP) and log batch payloads are framed
+// by internal/codec.
 package serve
 
 import (
