@@ -41,7 +41,7 @@ func DecodeVector(r *codec.Reader) *Vector {
 	if r.Err() == nil && d == 0 {
 		r.Fail(errors.New("bitvec: zero dimension"))
 	}
-	words := r.Words(r.Count(uint64(wordsFor(d)), maxDim, 8))
+	words := r.Words(wordsFor(d))
 	if r.Err() != nil {
 		return nil
 	}
@@ -92,7 +92,7 @@ func DecodeAccumulator(r *codec.Reader) *Accumulator {
 		r.Fail(errors.New("bitvec: zero accumulator dimension"))
 	}
 	n := int(int64(r.U64()))
-	counts := r.Int32s(r.Count(uint64(d), maxDim, 4))
+	counts := r.Int32s(d)
 	if r.Err() != nil {
 		return nil
 	}
