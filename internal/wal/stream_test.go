@@ -185,12 +185,14 @@ func (f countingFile) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestReadsStartAtTheRequestedRecord proves StreamFrom and Replay seek to
-// the first wanted record: reading only the newest one costs one frame of
-// I/O whether the segment holds 1 record or 1000.
+// TestReadsStartAtTheRequestedRecord proves StreamFrom and Replay seek
+// near the first wanted record: reading only the newest one costs its
+// frame plus at most markEvery-1 skipped headers, whether the segment
+// holds 1 record or 1000.
 func TestReadsStartAtTheRequestedRecord(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 100)
 	frame := int64(recHeaderLen + len(payload))
+	limit := frame + (markEvery-1)*recHeaderLen
 	for _, n := range []int{1, 1000} {
 		fs := &countingFS{FS: vfs.OS{}}
 		dir := t.TempDir()
@@ -212,8 +214,8 @@ func TestReadsStartAtTheRequestedRecord(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("n=%d: streamed %d records, want 1", n, len(got))
 		}
-		if read := fs.read.Load(); read > 2*frame {
-			t.Errorf("n=%d: StreamFrom(newest) read %d bytes, want about one %d-byte frame", n, read, frame)
+		if read := fs.read.Load(); read > limit {
+			t.Errorf("n=%d: StreamFrom(newest) read %d bytes, want at most %d", n, read, limit)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -228,11 +230,51 @@ func TestReadsStartAtTheRequestedRecord(t *testing.T) {
 		if err := l.Replay(newest, func(uint64, []byte) error { replayed++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if read := fs.read.Load(); replayed != 1 || read > 2*frame {
-			t.Errorf("n=%d: Replay(newest) gave %d records reading %d bytes, want 1 record and about one %d-byte frame", n, replayed, read, frame)
+		if read := fs.read.Load(); replayed != 1 || read > limit {
+			t.Errorf("n=%d: Replay(newest) gave %d records reading %d bytes, want 1 record and at most %d bytes", n, replayed, read, limit)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStreamFromEveryPosition streams from each record of segments that
+// hold several marks, before and after a reopen rebuilds the index from
+// the scan: every call must deliver exactly the suffix.
+func TestStreamFromEveryPosition(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 2 << 10, SyncEvery: -1}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := appendN(t, l, 3*markEvery+5)
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if l, err = Open(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(l.Segments()) < 2 {
+			t.Fatalf("%d segments, want several", len(l.Segments()))
+		}
+		for from := uint64(1); from <= uint64(len(want))+1; from++ {
+			got, next := collect(t, l, from)
+			if next != uint64(len(want))+1 || len(got) != len(want)-int(from)+1 {
+				t.Fatalf("pass %d, from %d: %d records, next %d", pass, from, len(got), next)
+			}
+			for seq, p := range got {
+				if seq < from || p != string(want[seq]) {
+					t.Fatalf("pass %d, from %d: record %d = %q, want %q", pass, from, seq, p, want[seq])
+				}
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

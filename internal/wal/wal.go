@@ -88,18 +88,33 @@ func (o *Options) norm() {
 	o.FS = vfs.Default(o.FS)
 }
 
+// markEvery is the record stride of a segment's offset index. A reader
+// seeks to the mark at or before its first wanted record and skips the
+// frames in between by their headers, so the index costs one offset per
+// markEvery records and a seek reads at most markEvery-1 headers.
+const markEvery = 64
+
 // segment is one on-disk segment file.
 type segment struct {
 	path     string
 	firstSeq uint64
-	// ends holds the byte offset one past each intact record, set by
-	// Open's scan and by Append, so readers seek straight to a record.
-	// Append only ever appends, so a copy taken under the lock stays valid.
-	ends []int64
+	n        uint64 // intact records
+	// marks[i] is the byte offset of record firstSeq+i*markEvery, set by
+	// Open's scan and by Append. Both only append, so a copy taken under
+	// the lock stays valid.
+	marks []int64
 }
 
 // records returns the number of intact records.
-func (s *segment) records() uint64 { return uint64(len(s.ends)) }
+func (s *segment) records() uint64 { return s.n }
+
+// add counts one more intact record, whose frame starts at off.
+func (s *segment) add(off int64) {
+	if s.n%markEvery == 0 {
+		s.marks = append(s.marks, off)
+	}
+	s.n++
+}
 
 // Log is an append-only segmented record log. Append/Sync/TruncateBefore/
 // Close are safe for concurrent use; Replay is only valid between Open and
@@ -258,7 +273,6 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 
 	intact := int64(segHeaderLen)
 	next := seg.firstSeq
-	seg.ends = make([]int64, 0, 64)
 	var header, payload []byte
 	for {
 		header = r.Bytes(recHeaderLen, header)
@@ -284,8 +298,8 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 		if codec.Checksum(codec.Checksum(0, header[8:]), payload) != crc {
 			return seg, intact, fmt.Errorf("wal: CRC mismatch at offset %d (record %d)", intact, seq)
 		}
+		seg.add(intact)
 		intact += int64(recHeaderLen) + int64(plen)
-		seg.ends = append(seg.ends, intact)
 		next++
 	}
 }
@@ -338,37 +352,49 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	return err
 }
 
-// replaySegment reads the records with seq >= from straight from their
-// offsets, one read per record, and re-verifies each frame.
+// replaySegment reads the records with seq >= from. It seeks to the
+// nearest mark, skips the frames before from by their headers, then reads
+// each wanted frame and re-verifies it.
 func replaySegment(fs vfs.FS, seg segment, from uint64, fn func(uint64, []byte) error) error {
-	first := 0
+	var first uint64
 	if from > seg.firstSeq {
-		first = int(from - seg.firstSeq)
+		first = from - seg.firstSeq
 	}
-	start := int64(segHeaderLen)
-	if first > 0 {
-		start = seg.ends[first-1]
+	if first >= seg.n {
+		return nil
 	}
 	f, err := fs.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("wal: reopening segment for replay: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
+	if _, err := f.Seek(seg.marks[first/markEvery], io.SeekStart); err != nil {
 		return err
 	}
-	for i := first; i < len(seg.ends); i++ {
-		frame := make([]byte, seg.ends[i]-start)
-		if _, err := io.ReadFull(f, frame); err != nil {
+	var header [recHeaderLen]byte
+	for i := first / markEvery * markEvery; i < seg.n; i++ {
+		want := seg.firstSeq + i
+		if _, err := io.ReadFull(f, header[:]); err != nil {
 			return fmt.Errorf("wal: replay read: %w", err)
 		}
-		start = seg.ends[i]
-		r := codec.NewBytesReader(frame)
-		plen, crc, seq := r.U32(), r.U32(), r.U64()
-		payload := frame[recHeaderLen:]
-		// The CRC covers seq‖payload, the frame from byte 8 on.
-		if int(plen) != len(payload) || seq != seg.firstSeq+uint64(i) || codec.Checksum(0, frame[8:]) != crc {
-			return fmt.Errorf("wal: replay CRC mismatch on record %d", seg.firstSeq+uint64(i))
+		h := codec.NewBytesReader(header[:])
+		plen, crc, seq := h.U32(), h.U32(), h.U64()
+		if seq != want || plen > MaxRecordBytes {
+			return fmt.Errorf("wal: replay found a damaged header on record %d", want)
+		}
+		if i < first {
+			if _, err := f.Seek(int64(plen), io.SeekCurrent); err != nil {
+				return err
+			}
+			continue
+		}
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(f, payload); err != nil {
+			return fmt.Errorf("wal: replay read: %w", err)
+		}
+		// The CRC covers seq‖payload, and header[8:] holds seq's bytes.
+		if codec.Checksum(codec.Checksum(0, header[8:]), payload) != crc {
+			return fmt.Errorf("wal: replay CRC mismatch on record %d", want)
 		}
 		if err := fn(seq, payload); err != nil {
 			return err
@@ -480,10 +506,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		l.failed = err
 		return 0, fmt.Errorf("wal: appending record %d: %w", seq, err)
 	}
+	l.segs[len(l.segs)-1].add(l.curSize)
 	l.curSize += int64(len(frame))
 	l.nextSeq++
-	tail := &l.segs[len(l.segs)-1]
-	tail.ends = append(tail.ends, l.curSize)
 	l.appended = true
 	l.unsynced++
 	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
