@@ -13,7 +13,7 @@ import (
 
 func FuzzReadVector(f *testing.F) {
 	for _, c := range formatCases(f) {
-		f.Add(c.data)
+		f.Add(c.Data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v *Vector
@@ -28,7 +28,7 @@ func FuzzReadVector(f *testing.F) {
 
 func FuzzReadAccumulator(f *testing.F) {
 	for _, c := range formatCases(f) {
-		f.Add(c.data)
+		f.Add(c.Data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a *Accumulator

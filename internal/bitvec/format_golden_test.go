@@ -7,16 +7,12 @@ package bitvec
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"testing"
-)
 
-type formatCase struct {
-	name string
-	data []byte
-}
+	"hdcirc/internal/codec/codectest"
+)
 
 func writeToBytes(t testing.TB, w io.WriterTo) []byte {
 	t.Helper()
@@ -27,23 +23,21 @@ func writeToBytes(t testing.TB, w io.WriterTo) []byte {
 	return buf.Bytes()
 }
 
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
-
 // formatCases builds one vector and one accumulator per dimension. The
 // accumulator mixes unit adds, a subtraction and a weighted add so its
 // counters take negative and multi-bit values.
-func formatCases(t testing.TB) []formatCase {
-	var out []formatCase
+func formatCases(t testing.TB) []codectest.Case {
+	var out []codectest.Case
 	for _, d := range []int{1, 64, 65, 1000} {
 		src := newTestSource(int64(900 + d))
-		out = append(out, formatCase{fmt.Sprintf("HVEC d=%d", d), writeToBytes(t, Random(d, src))})
+		out = append(out, codectest.Case{Name: fmt.Sprintf("HVEC d=%d", d), Data: writeToBytes(t, Random(d, src))})
 		a := NewAccumulator(d)
 		for i := 0; i < 5; i++ {
 			a.Add(Random(d, src))
 		}
 		a.Sub(Random(d, src))
 		a.AddWeighted(Random(d, src), 3)
-		out = append(out, formatCase{fmt.Sprintf("HACC d=%d", d), writeToBytes(t, a)})
+		out = append(out, codectest.Case{Name: fmt.Sprintf("HACC d=%d", d), Data: writeToBytes(t, a)})
 	}
 	return out
 }
@@ -60,13 +54,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

@@ -24,6 +24,11 @@ const (
 	// maxDim bounds a decoded dimension: it sizes allocations from
 	// untrusted input and must stay clear of 32-bit int wraparound.
 	maxDim = 1 << 27
+
+	// MinVectorBytes is the length of the shortest HVEC encoding: header,
+	// dimension and one word. A format holding vectors bounds a vector
+	// count by the input with it.
+	MinVectorBytes = 24
 )
 
 // Encode appends v in the HVEC framing.

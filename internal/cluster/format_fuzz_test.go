@@ -14,7 +14,7 @@ import (
 
 func FuzzDecodeBinary(f *testing.F) {
 	for _, c := range formatCases(f) {
-		f.Add(c.data, false)
+		f.Add(c.Data, false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
 		if fixCRC && len(data) >= 4 {

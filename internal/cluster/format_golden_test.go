@@ -6,19 +6,12 @@ package cluster
 // the decoder fuzzer.
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"testing"
+
+	"hdcirc/internal/codec/codectest"
 )
 
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
-
-func formatCases(t testing.TB) []formatCase {
+func formatCases(t testing.TB) []codectest.Case {
 	one := &Manifest{Version: 1, RingSeed: 9, Shards: []ShardEndpoints{{Primary: "http://a:1"}}}
 	one.Normalize()
 	three := testManifest(3)
@@ -28,10 +21,10 @@ func formatCases(t testing.TB) []formatCase {
 	three.Normalize()
 	wide := &Manifest{Version: 1 << 40, RingPositions: 32, RingDim: 2048, RingSeed: 1<<63 + 5,
 		Shards: []ShardEndpoints{{Primary: "http://p0"}, {Primary: "http://p1", Replicas: []string{"http://r1"}}}}
-	return []formatCase{
-		{"HCLU one", one.EncodeBinary()},
-		{"HCLU three", three.EncodeBinary()},
-		{"HCLU wide", wide.EncodeBinary()},
+	return []codectest.Case{
+		{Name: "HCLU one", Data: one.EncodeBinary()},
+		{Name: "HCLU three", Data: three.EncodeBinary()},
+		{Name: "HCLU wide", Data: wide.EncodeBinary()},
 	}
 }
 
@@ -42,13 +35,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

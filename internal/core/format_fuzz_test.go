@@ -13,7 +13,7 @@ import (
 
 func FuzzReadSet(f *testing.F) {
 	for _, c := range formatCases(f) {
-		f.Add(c.data)
+		f.Add(c.Data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s *Set

@@ -6,22 +6,15 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"testing"
 
+	"hdcirc/internal/codec/codectest"
 	"hdcirc/internal/rng"
 )
 
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
-
-func formatCases(t testing.TB) []formatCase {
-	var out []formatCase
+func formatCases(t testing.TB) []codectest.Case {
+	var out []codectest.Case
 	for _, d := range []int{1, 64, 65, 1000} {
 		for _, cfg := range []Config{
 			{Kind: KindLevel, M: 5, D: d},
@@ -32,7 +25,7 @@ func formatCases(t testing.TB) []formatCase {
 			if _, err := set.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, formatCase{fmt.Sprintf("HSET %v d=%d", cfg.Kind, d), buf.Bytes()})
+			out = append(out, codectest.Case{Name: fmt.Sprintf("HSET %v d=%d", cfg.Kind, d), Data: buf.Bytes()})
 		}
 	}
 	return out
@@ -50,13 +43,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

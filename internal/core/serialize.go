@@ -19,9 +19,6 @@ const (
 	setVersion = 1
 
 	maxSetSize = 1 << 24
-	// minVectorBytes is the smallest HVEC framing: header, dimension and
-	// one word.
-	minVectorBytes = 24
 )
 
 // WriteTo serializes the set to w. It implements io.WriterTo.
@@ -44,7 +41,7 @@ func ReadSet(src io.Reader) (*Set, error) {
 	r.Header(setMagic, setVersion)
 	kind := Kind(r.U32())
 	rparam := r.F64()
-	m := r.Count(r.U64(), maxSetSize, minVectorBytes)
+	m := r.Count(r.U64(), maxSetSize, bitvec.MinVectorBytes)
 	d := r.U64()
 	if r.Err() == nil && (m == 0 || d == 0 || d > 1<<32) {
 		r.Fail(fmt.Errorf("core: implausible set shape m=%d d=%d", m, d))

@@ -15,7 +15,7 @@ import (
 
 func addFormatSeeds(f *testing.F) {
 	for _, c := range formatCases(f) {
-		f.Add(c.data)
+		f.Add(c.Data)
 	}
 }
 

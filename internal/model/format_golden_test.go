@@ -6,21 +6,14 @@ package model
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"testing"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec/codectest"
 	"hdcirc/internal/rng"
 )
-
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
 
 func writeBytes(t testing.TB, write func(io.Writer) (int64, error)) []byte {
 	t.Helper()
@@ -52,17 +45,17 @@ func goldenRegressor(d int) *Regressor {
 	return r
 }
 
-func formatCases(t testing.TB) []formatCase {
-	var out []formatCase
+func formatCases(t testing.TB) []codectest.Case {
+	var out []codectest.Case
 	for _, d := range []int{1, 64, 65, 1000} {
 		c := goldenClassifier(d)
 		out = append(out,
-			formatCase{fmt.Sprintf("HCLS d=%d", d), writeBytes(t, c.WriteTo)},
-			formatCase{fmt.Sprintf("HCST d=%d", d), writeBytes(t, c.WriteStateTo)})
+			codectest.Case{Name: fmt.Sprintf("HCLS d=%d", d), Data: writeBytes(t, c.WriteTo)},
+			codectest.Case{Name: fmt.Sprintf("HCST d=%d", d), Data: writeBytes(t, c.WriteStateTo)})
 		r := goldenRegressor(d)
 		out = append(out,
-			formatCase{fmt.Sprintf("HREG d=%d", d), writeBytes(t, r.WriteTo)},
-			formatCase{fmt.Sprintf("HRST d=%d", d), writeBytes(t, r.WriteStateTo)})
+			codectest.Case{Name: fmt.Sprintf("HREG d=%d", d), Data: writeBytes(t, r.WriteTo)},
+			codectest.Case{Name: fmt.Sprintf("HRST d=%d", d), Data: writeBytes(t, r.WriteStateTo)})
 	}
 	return out
 }
@@ -87,13 +80,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

@@ -29,9 +29,6 @@ const (
 	modelVersion         = 1
 
 	maxClasses = 1 << 20
-	// minVectorBytes is the smallest HVEC framing: header, dimension and
-	// one word.
-	minVectorBytes = 24
 )
 
 // EncodeClassVectors appends an HCLS section over the given prototypes.
@@ -47,7 +44,7 @@ func EncodeClassVectors(w *codec.Writer, protos []*bitvec.Vector) {
 // one dimension. On failure it returns nil and the error is in r.Err.
 func DecodeClassVectors(r *codec.Reader) []*bitvec.Vector {
 	r.Header(classifierMagic, modelVersion)
-	k := r.Count(r.U64(), maxClasses, minVectorBytes)
+	k := r.Count(r.U64(), maxClasses, bitvec.MinVectorBytes)
 	if r.Err() == nil && k == 0 {
 		r.Fail(fmt.Errorf("%w: classifier with no classes", codec.ErrCount))
 	}

@@ -6,20 +6,13 @@ package sdm
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec/codectest"
 	"hdcirc/internal/rng"
 )
-
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
 
 // goldenConfig keeps activations sparse but non-empty at a small dimension.
 func goldenConfig(d int) Config {
@@ -36,14 +29,14 @@ func goldenMemory(d, writes int) *Memory {
 	return m
 }
 
-func formatCases(t testing.TB) []formatCase {
-	var out []formatCase
+func formatCases(t testing.TB) []codectest.Case {
+	var out []codectest.Case
 	for _, c := range []struct{ d, writes int }{{65, 0}, {65, 3}, {256, 5}} {
 		var buf bytes.Buffer
 		if _, err := goldenMemory(c.d, c.writes).WriteStateTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, formatCase{fmt.Sprintf("HSDM d=%d writes=%d", c.d, c.writes), buf.Bytes()})
+		out = append(out, codectest.Case{Name: fmt.Sprintf("HSDM d=%d writes=%d", c.d, c.writes), Data: buf.Bytes()})
 	}
 	return out
 }
@@ -55,13 +48,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

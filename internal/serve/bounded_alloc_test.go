@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec"
 	"hdcirc/internal/core"
 	"hdcirc/internal/model"
 )
@@ -17,8 +18,11 @@ import (
 // TestDecodersBoundAllocationByInput feeds each decoder a header that
 // claims its largest accepted size and then ends. Every decoder must fail
 // having allocated far less than the claim: allocation may grow only with
-// the bytes actually read. Each header goes in both as in-memory input
-// (bytes.Reader reports its length) and as a plain stream that does not.
+// the bytes actually read. Each header goes in through the public reader,
+// which decodes any io.Reader as a stream read in bounded chunks, and,
+// where the format has one, through the decoder over in-memory input
+// (codec.NewBytesReader), which rejects a count the remaining bytes cannot
+// hold before allocating for it.
 func TestDecodersBoundAllocationByInput(t *testing.T) {
 	le := binary.LittleEndian
 	header := func(magic string, fields ...uint64) []byte {
@@ -45,47 +49,62 @@ func TestDecodersBoundAllocationByInput(t *testing.T) {
 
 	// Each decoder is set up before the measurement starts.
 	cases := []struct {
-		name    string
-		data    []byte
-		decoder func() func(io.Reader) error
+		name   string
+		data   []byte
+		stream func() func(io.Reader) error
+		memory func() func(*codec.Reader) error // nil: no in-memory decoder
 	}{
-		{"HACC d=2^27", header("HACC", 1<<27, 0), func() func(io.Reader) error {
-			return func(r io.Reader) error { _, err := bitvec.ReadAccumulator(r); return err }
-		}},
-		{"HVEC d=2^27", header("HVEC", 1<<27), func() func(io.Reader) error {
-			return func(r io.Reader) error { _, err := bitvec.ReadVector(r); return err }
-		}},
-		{"HSET m=2^24", set, func() func(io.Reader) error {
-			return func(r io.Reader) error { _, err := core.ReadSet(r); return err }
-		}},
-		{"HCLS k=2^20", header("HCLS", 1<<20), func() func(io.Reader) error {
-			return func(r io.Reader) error { _, err := model.ReadClassifier(r, 0); return err }
-		}},
-		{"HSRV items=2^28", snap.Bytes(), func() func(io.Reader) error { return mustServer(t, cfg).Restore }},
+		{"HACC d=2^27", header("HACC", 1<<27, 0),
+			func() func(io.Reader) error {
+				return func(r io.Reader) error { _, err := bitvec.ReadAccumulator(r); return err }
+			},
+			func() func(*codec.Reader) error {
+				return func(r *codec.Reader) error { bitvec.DecodeAccumulator(r); return r.Err() }
+			}},
+		{"HVEC d=2^27", header("HVEC", 1<<27),
+			func() func(io.Reader) error {
+				return func(r io.Reader) error { _, err := bitvec.ReadVector(r); return err }
+			},
+			func() func(*codec.Reader) error {
+				return func(r *codec.Reader) error { bitvec.DecodeVector(r); return r.Err() }
+			}},
+		{"HSET m=2^24", set,
+			func() func(io.Reader) error {
+				return func(r io.Reader) error { _, err := core.ReadSet(r); return err }
+			}, nil},
+		{"HCLS k=2^20", header("HCLS", 1<<20),
+			func() func(io.Reader) error {
+				return func(r io.Reader) error { _, err := model.ReadClassifier(r, 0); return err }
+			},
+			func() func(*codec.Reader) error {
+				return func(r *codec.Reader) error { model.DecodeClassVectors(r); return r.Err() }
+			}},
+		{"HSRV items=2^28", snap.Bytes(),
+			func() func(io.Reader) error { return mustServer(t, cfg).Restore },
+			func() func(*codec.Reader) error { return mustServer(t, cfg).restore }},
 	}
 	for _, c := range cases {
-		for _, in := range []struct {
-			name string
-			r    func() io.Reader
-		}{
-			{"memory", func() io.Reader { return bytes.NewReader(c.data) }},
-			{"stream", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(c.data)} }},
-		} {
-			src, decode := in.r(), c.decoder()
+		measure := func(input string, decode func() error) {
 			// Hand freed memory back first, so a decoder that does
 			// over-allocate gets fresh pages it never touches instead of
 			// reused ones the runtime must zero.
 			debug.FreeOSMemory()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := decode(src)
+			err := decode()
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Errorf("%s (%s): truncated input accepted", c.name, in.name)
+				t.Errorf("%s (%s): truncated input accepted", c.name, input)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-				t.Errorf("%s (%s): allocated %d bytes before failing, want < 1 MiB", c.name, in.name, got)
+				t.Errorf("%s (%s): allocated %d bytes before failing, want < 1 MiB", c.name, input, got)
 			}
+		}
+		src, decode := bytes.NewReader(c.data), c.stream()
+		measure("stream", func() error { return decode(src) })
+		if c.memory != nil {
+			r, decode := codec.NewBytesReader(c.data), c.memory()
+			measure("memory", func() error { return decode(r) })
 		}
 	}
 }

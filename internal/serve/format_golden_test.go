@@ -9,20 +9,13 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/codec/codectest"
 	"hdcirc/internal/rng"
 )
-
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
 
 // goldenConfigs are the two fixtures every serving-format golden is built
 // from.
@@ -68,17 +61,13 @@ func goldenSnapshot(t testing.TB, s *Server) []byte {
 	return buf.Bytes()
 }
 
-func goldenCheckpoint(t testing.TB, s *Server) []byte {
-	t.Helper()
-	_, body, err := s.encodeCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+func goldenCheckpoint(s *Server) []byte {
+	_, body := s.encodeCheckpoint()
 	return appendCkptCRC(body)
 }
 
-func formatCases(t testing.TB) []formatCase {
-	var out []formatCase
+func formatCases(t testing.TB) []codectest.Case {
+	var out []codectest.Case
 	for _, f := range []struct {
 		name    string
 		batches int
@@ -86,12 +75,12 @@ func formatCases(t testing.TB) []formatCase {
 		name, cfg := f.name, goldenConfigs()[f.name]
 		s, payloads := goldenServer(t, cfg, f.batches)
 		out = append(out,
-			formatCase{"HSRV " + name, goldenSnapshot(t, s)},
-			formatCase{"HCKP " + name, goldenCheckpoint(t, s)})
+			codectest.Case{Name: "HSRV " + name, Data: goldenSnapshot(t, s)},
+			codectest.Case{Name: "HCKP " + name, Data: goldenCheckpoint(s)})
 		for i, p := range payloads {
-			out = append(out, formatCase{fmt.Sprintf("batch %s %d", name, i), p})
+			out = append(out, codectest.Case{Name: fmt.Sprintf("batch %s %d", name, i), Data: p})
 		}
-		out = append(out, formatCase{"batch " + name + " empty", encodeBatch(&Batch{}, cfg.Dim)})
+		out = append(out, codectest.Case{Name: "batch " + name + " empty", Data: encodeBatch(&Batch{}, cfg.Dim)})
 	}
 	return out
 }
@@ -122,13 +111,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }

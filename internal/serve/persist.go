@@ -86,7 +86,8 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // taking writes (with the unit-weight re-seeding caveat documented above).
 // The server must be empty (no applied batches) and shaped compatibly
 // (same dimension and class count; the item-vector seed must match the
-// saving server's for lookups to agree).
+// saving server's for lookups to agree). Its shard count and ring may
+// differ: every item is routed by the restoring server's own ring.
 func (s *Server) Restore(src io.Reader) error {
 	return s.restore(codec.NewReader(src))
 }
@@ -138,8 +139,9 @@ func (s *Server) restore(r *codec.Reader) error {
 		}
 	}
 
-	// Symbols must come shard-major and unique, as the writer emits them:
-	// only then does the restored server write the same stream back.
+	// Each symbol is routed by this server's ring, which may shard
+	// differently from the saving server's. A repeated symbol would count
+	// twice in nitems but create one item.
 	count := r.Count(r.U64(), maxItems, 4)
 	var syms []string
 	var shardOf []int
@@ -149,12 +151,12 @@ func (s *Server) restore(r *codec.Reader) error {
 		if r.Err() != nil {
 			break
 		}
+		if seen[sym] {
+			return fmt.Errorf("serve: item %d (%q) is repeated", i, sym)
+		}
 		sh, err := s.routeKey("item/" + sym)
 		if err != nil {
 			return err
-		}
-		if seen[sym] || (i > 0 && sh < shardOf[i-1]) {
-			return fmt.Errorf("serve: item %d (%q) is repeated or out of shard order", i, sym)
 		}
 		seen[sym] = true
 		syms, shardOf = append(syms, sym), append(shardOf, sh)

@@ -244,12 +244,10 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, payload []byte
 // EncodeCheckpoint serializes the server's exact current state to memory,
 // byte-identical to a checkpoint file (CRC trailer included): the image a
 // primary ships to seed a follower whose position it has compacted past.
-// The returned version is the state's snapshot version.
+// The returned version is the state's snapshot version. Encoding to
+// memory cannot fail; the error result is nil.
 func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
-	version, buf, err := s.encodeCheckpoint()
-	if err != nil {
-		return 0, nil, err
-	}
+	version, buf := s.encodeCheckpoint()
 	return version, appendCkptCRC(buf), nil
 }
 

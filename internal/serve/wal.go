@@ -348,8 +348,13 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 	if s.mem != nil {
 		s.mem.DecodeState(r)
 	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("serve: reading checkpoint state: %w", err)
+	}
+	// The CRC held, so bytes past the state were written that way: the
+	// image is not one this reader writes.
 	if r.End(); r.Err() != nil {
-		return fmt.Errorf("serve: reading checkpoint state: %w", r.Err())
+		return fmt.Errorf("%w: %v", errCkptCorrupt, r.Err())
 	}
 	// The snapshot section and the exact state were written from one
 	// version: they must finalize to the same models.
@@ -412,10 +417,7 @@ func (s *Server) Checkpoint() (uint64, error) {
 		return version, nil
 	}
 
-	version, buf, err := s.encodeCheckpoint()
-	if err != nil {
-		return 0, err
-	}
+	version, buf := s.encodeCheckpoint()
 	buf = appendCkptCRC(buf)
 
 	fs := s.walCfg.fs()
@@ -455,7 +457,7 @@ func (s *Server) Checkpoint() (uint64, error) {
 
 // encodeCheckpoint serializes the exact server state to memory under the
 // writer lock. The body lacks the CRC trailer (appendCkptCRC).
-func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
+func (s *Server) encodeCheckpoint() (uint64, []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -480,7 +482,7 @@ func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
 	if s.mem != nil {
 		s.mem.EncodeState(w)
 	}
-	return s.version, w.Bytes(), nil
+	return s.version, w.Bytes()
 }
 
 // maybeCheckpointLocked spawns at most one background checkpoint once

@@ -6,21 +6,13 @@ package wal
 // payload.
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hdcirc/internal/codec/codectest"
 	"hdcirc/internal/vfs"
 )
-
-type formatCase struct {
-	name string
-	data []byte
-}
-
-func formatDigest(b []byte) string { return fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b)) }
 
 // goldenPayloads are the records every golden log holds, in order.
 func goldenPayloads() [][]byte {
@@ -35,7 +27,7 @@ func goldenPayloads() [][]byte {
 	return out
 }
 
-func formatCases(t testing.TB) []formatCase {
+func formatCases(t testing.TB) []codectest.Case {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "wal-golden")
 	if err != nil {
@@ -58,13 +50,13 @@ func formatCases(t testing.TB) []formatCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []formatCase
+	var out []codectest.Case
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, formatCase{"HWSG " + name, raw})
+		out = append(out, codectest.Case{Name: "HWSG " + name, Data: raw})
 	}
 	return out
 }
@@ -77,13 +69,5 @@ var formatGoldens = map[string]string{
 }
 
 func TestFormatGoldens(t *testing.T) {
-	cases := formatCases(t)
-	for _, c := range cases {
-		if got, want := formatDigest(c.data), formatGoldens[c.name]; got != want {
-			t.Errorf("%q: %q, want %q", c.name, got, want)
-		}
-	}
-	if len(cases) != len(formatGoldens) {
-		t.Errorf("%d cases, %d goldens", len(cases), len(formatGoldens))
-	}
+	codectest.Goldens(t, formatCases(t), formatGoldens)
 }
